@@ -25,9 +25,11 @@ import numpy as np
 
 from .seeding import rng_for, spawn_seed
 from .workload import (
+    _BLOCK_BYTES,
     DEFAULT_VARIANCE_FLOOR,
     EmbeddingSet,
     MomentSummary,
+    _float64_blocks,
     check_same_dim,
     moments,
 )
@@ -217,8 +219,15 @@ def mahalanobis_descriptor(ms_src: MomentSummary, target: EmbeddingSet) -> tuple
     both statistics.
     """
     check_same_dim(ms_src.dim, target.dim, "source stats vs target")
-    z = (target.data.astype(np.float64) - ms_src.mean) / ms_src.std
-    radii = np.linalg.norm(z, axis=1)
+    std = ms_src.std
+    radii = np.empty(target.n)
+    start = 0
+    for block in _float64_blocks(target.data):
+        block -= ms_src.mean
+        block /= std
+        block *= block
+        np.sqrt(block.sum(axis=1), out=radii[start : start + block.shape[0]])
+        start += block.shape[0]
     return float(radii.mean()), float(radii.std())
 
 
@@ -311,12 +320,30 @@ def pca_directions(
     )
 
 
-def _quantile_curve(sorted_vals: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Empirical quantile function on a probability grid, linearly
-    interpolating between order statistics placed at midpoints (i-0.5)/n."""
-    n = sorted_vals.shape[0]
-    positions = (np.arange(n) + 0.5) / n
-    return np.interp(grid, positions, sorted_vals)
+def _sorted_projections(data: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """(L, n) projections of every row onto every direction, each slice
+    sorted; float64 row blocks keep the cast to one block at a time."""
+    proj = np.empty((directions.shape[0], data.shape[0]))
+    start = 0
+    for block in _float64_blocks(data):
+        np.matmul(directions, block.T, out=proj[:, start : start + block.shape[0]])
+        start += block.shape[0]
+    # (L, n) layout keeps each slice contiguous for the sort.
+    proj.sort(axis=1)
+    return proj
+
+
+def _quantile_curves(sorted_proj: np.ndarray, quantiles: int) -> np.ndarray:
+    """Empirical quantile functions of every sorted row on the midpoint grid
+    (q+0.5)/Q, interpolating linearly between order statistics placed at
+    (i+0.5)/n and clamping to the extremes outside them.  The gather indices
+    and weights depend only on n and Q, so all slices share them."""
+    n = sorted_proj.shape[1]
+    pos = np.clip((np.arange(quantiles) + 0.5) / quantiles * n - 0.5, 0.0, n - 1)
+    lo = np.floor(pos).astype(np.intp)
+    hi = np.minimum(lo + 1, n - 1)
+    below = sorted_proj[:, lo]
+    return below + (sorted_proj[:, hi] - below) * (pos - lo)
 
 
 def sliced_w2_per_slice(
@@ -329,19 +356,12 @@ def sliced_w2_per_slice(
     """
     check_same_dim(src.dim, basis.dim, "source vs basis")
     check_same_dim(tgt.dim, basis.dim, "target vs basis")
-    # Single-pass vectorization: one matrix product per set covers all slices.
-    # (L, n) layout keeps each slice contiguous for the sort.
-    proj_src = np.sort(basis.directions @ src.data.astype(np.float64).T, axis=1)
-    proj_tgt = np.sort(basis.directions @ tgt.data.astype(np.float64).T, axis=1)
+    proj_src = _sorted_projections(src.data, basis.directions)
+    proj_tgt = _sorted_projections(tgt.data, basis.directions)
     if src.n == tgt.n:
         return np.mean((proj_src - proj_tgt) ** 2, axis=1)
-    grid = (np.arange(quantiles) + 0.5) / quantiles
-    per_slice = np.empty(basis.num_slices)
-    for l in range(basis.num_slices):
-        qa = _quantile_curve(proj_src[l], grid)
-        qb = _quantile_curve(proj_tgt[l], grid)
-        per_slice[l] = np.mean((qa - qb) ** 2)
-    return per_slice
+    diff = _quantile_curves(proj_src, quantiles) - _quantile_curves(proj_tgt, quantiles)
+    return np.mean(diff**2, axis=1)
 
 
 def sliced_w2(
@@ -368,16 +388,21 @@ def build_basis(src: EmbeddingSet, tgt: EmbeddingSet, cfg: SWDConfig) -> Project
     # union and swapping the arguments leaves the basis (hence the sliced
     # distance) unchanged even when the subsample kicks in.
     first, second = src, tgt
-    if src.n > tgt.n or (src.n == tgt.n and src.data.tobytes() > tgt.data.tobytes()):
+    if src.n > tgt.n or (src.n == tgt.n and _bytes_greater(src.data, tgt.data)):
         first, second = tgt, src
     total = src.n + tgt.n
     take = min(cfg.pca_subsample, total)
     if take < total:
         idx = rng_for(spawn_seed(cfg.seed, 1)).choice(total, size=take, replace=False)
-        rows = np.vstack([first.data, second.data])[idx].astype(np.float64)
     else:
-        rows = np.vstack([first.data, second.data]).astype(np.float64)
-    k = min(cfg.k_pca, rows.shape[0], dim)
+        idx = np.arange(total)
+    # Gather the drawn rows of the joint cloud straight from the two sets,
+    # in draw order, without stacking the whole cloud.
+    rows = np.empty((take, dim))
+    in_first = idx < first.n
+    rows[in_first] = first.data[idx[in_first]]
+    rows[~in_first] = second.data[idx[~in_first] - first.n]
+    k = min(cfg.k_pca, take, dim)
     rows -= rows.mean(axis=0)
     dirs, effective = _principal_directions(
         rows, k, PCA_OVERSAMPLE, PCA_POWER_ITERS, rng_for(spawn_seed(cfg.seed, 2))
@@ -396,6 +421,21 @@ def build_basis(src: EmbeddingSet, tgt: EmbeddingSet, cfg: SWDConfig) -> Project
     if cfg.l_random:
         basis = basis.stacked_with(random_directions(cfg.l_random, dim, spawn_seed(cfg.seed, 3)))
     return basis
+
+
+def _bytes_greater(a: np.ndarray, b: np.ndarray) -> bool:
+    """``a.tobytes() > b.tobytes()`` for equal-size contiguous arrays, found
+    block by block over byte views, without copying either array."""
+    a = a.reshape(-1).view(np.uint8)
+    b = b.reshape(-1).view(np.uint8)
+    for start in range(0, a.shape[0], _BLOCK_BYTES):
+        block_a = a[start : start + _BLOCK_BYTES]
+        block_b = b[start : start + _BLOCK_BYTES]
+        differ = block_a != block_b
+        first = int(differ.argmax())
+        if differ[first]:
+            return bool(block_a[first] > block_b[first])
+    return False
 
 
 # Basis reuse across repeated evaluations of the same pair: embedding data is
@@ -420,9 +460,9 @@ def _cached_basis(src: EmbeddingSet, tgt: EmbeddingSet, cfg: SWDConfig) -> Proje
 def hybrid_swd(src: EmbeddingSet, tgt: EmbeddingSet, cfg: SWDConfig) -> float:
     """Sliced W2 between the two sets under the configured slice scheme.
 
-    The slice basis is cached and reused across repeated calls on the same
-    (source, target, config) triple, so scoring many batches against one
-    training workload pays the data-aware construction once.
+    The hybrid basis depends on the target as well as the source, so each
+    new batch builds its own.  The basis is cached only for repeated calls
+    on the very same (source, target, config) objects.
     """
     basis = _cached_basis(src, tgt, cfg)
     return sliced_w2(src, tgt, basis, cfg.quantiles)

@@ -48,6 +48,11 @@ EPOCH_TIMESTAMP = "1970-01-01T00:00:00Z"
 
 DEFAULT_VARIANCE_FLOOR = 1e-8
 
+# Kernels work on blocks of about 1 MiB (float64 rows, or raw bytes when
+# comparing sets): big enough that per-block overhead vanishes, small enough
+# that no kernel holds an n x D float64 copy.
+_BLOCK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class Manifest:
@@ -81,7 +86,11 @@ class Manifest:
 class EmbeddingSet:
     """An n x D matrix of pooled representation vectors plus its manifest.
 
-    Immutable after construction; safe for concurrent reads.
+    Immutable after construction; safe for concurrent reads.  ``moments``
+    memoizes its summary on the set, one per variance floor, so a source
+    kept resident across many targets pays for its moments once.  The memo
+    is safe for concurrent reads as well: two threads may both compute a
+    missing summary, but the first one stored is returned to both.
     """
 
     data: np.ndarray
@@ -230,13 +239,38 @@ def moments(es: EmbeddingSet, variance_floor: float = DEFAULT_VARIANCE_FLOOR) ->
     """Element-wise mean and population variance (divide by n), floored.
 
     The floor guards downstream whitening against zero-variance coordinates.
+    Two passes over float64 row blocks: the mean, then the centered sum of
+    squares.  The summary is memoized on ``es`` per floor, so a later call on
+    the same set returns the same object.
     """
     if variance_floor <= 0:
         raise ValueError("variance_floor must be positive")
-    x = es.data.astype(np.float64)
-    mean = x.mean(axis=0)
-    var = np.maximum(x.var(axis=0), variance_floor)
-    return MomentSummary(mean=mean, var=var, count=es.n)
+    # The memo lives in the instance dict, outside the dataclass fields, so
+    # equality, repr and construction are unchanged; new sets start empty.
+    memo = es.__dict__.setdefault("_moments", {})
+    hit = memo.get(variance_floor)
+    if hit is not None:
+        return hit
+    total = np.zeros(es.dim)
+    for block in _float64_blocks(es.data):
+        total += block.sum(axis=0)
+    mean = total / es.n
+    sq = np.zeros(es.dim)
+    for block in _float64_blocks(es.data):
+        block -= mean
+        block *= block
+        sq += block.sum(axis=0)
+    var = np.maximum(sq / es.n, variance_floor)
+    return memo.setdefault(variance_floor, MomentSummary(mean=mean, var=var, count=es.n))
+
+
+def _float64_blocks(x: np.ndarray):
+    """Consecutive row blocks of a 2-D float32 matrix, each a fresh float64
+    copy of at most ``_BLOCK_BYTES`` (at least one row) that callers may
+    overwrite."""
+    rows = max(1, _BLOCK_BYTES // (8 * x.shape[1]))
+    for start in range(0, x.shape[0], rows):
+        yield x[start : start + rows].astype(np.float64)
 
 
 def subsample(es: EmbeddingSet, size: int, seed: int) -> EmbeddingSet:

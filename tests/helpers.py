@@ -29,6 +29,41 @@ def exact_w2_squared_1d(a: np.ndarray, b: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
+# plain float64 descriptor kernels, on full copies and without row blocks
+
+
+def reference_moments(data, floor):
+    """Two-pass mean and floored population variance of a full float64 copy."""
+    x = np.asarray(data, dtype=np.float64)
+    mean = x.sum(axis=0) / x.shape[0]
+    var = ((x - mean) ** 2).sum(axis=0) / x.shape[0]
+    return mean, np.maximum(var, floor)
+
+
+def reference_radii(data, mean, var):
+    """Whitened radii of every row under the given mean and variance."""
+    x = np.asarray(data, dtype=np.float64)
+    return np.sqrt((((x - mean) / np.sqrt(var)) ** 2).sum(axis=1))
+
+
+def reference_sliced_w2_per_slice(a, b, directions, quantiles):
+    """Per-slice squared W2: sorted pairing for equal sizes, otherwise one
+    ``np.interp`` quantile curve per slice on the grid (q+0.5)/Q with order
+    statistic i at (i+0.5)/n."""
+    pa = np.sort(directions @ np.asarray(a, dtype=np.float64).T, axis=1)
+    pb = np.sort(directions @ np.asarray(b, dtype=np.float64).T, axis=1)
+    if pa.shape[1] == pb.shape[1]:
+        return ((pa - pb) ** 2).mean(axis=1)
+    grid = (np.arange(quantiles) + 0.5) / quantiles
+    out = np.empty(pa.shape[0])
+    for l in range(pa.shape[0]):
+        qa = np.interp(grid, (np.arange(pa.shape[1]) + 0.5) / pa.shape[1], pa[l])
+        qb = np.interp(grid, (np.arange(pb.shape[1]) + 0.5) / pb.shape[1], pb[l])
+        out[l] = ((qa - qb) ** 2).mean()
+    return out
+
+
+# ---------------------------------------------------------------------------
 # exact PCA
 
 

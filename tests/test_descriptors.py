@@ -19,13 +19,22 @@ from driftgauge import (
     sliced_w2_per_slice,
     variance_log_ratios,
 )
+from driftgauge import descriptors, workload
+from driftgauge.descriptors import build_basis
 from driftgauge.errors import DimensionMismatch
 from helpers import (
     exact_principal_directions,
     exact_w2_squared_1d,
     explained_variance_fraction,
+    max_relative_error,
+    reference_moments,
+    reference_radii,
+    reference_sliced_w2_per_slice,
     subspace_angle,
 )
+
+# The repository's oracle tolerance (acceptance test 02).
+ORACLE_REL = 1e-6
 
 
 def es(rows):
@@ -291,6 +300,34 @@ class TestHybridSWD:
         cfg = SWDConfig(seed=123)
         assert hybrid_swd(a, b, cfg) == hybrid_swd(a, b, cfg)
 
+    @pytest.mark.parametrize("first_diff_row", [0, "past first block"])
+    def test_equal_size_swap_gives_same_basis(self, first_diff_row):
+        d = 64
+        block_rows = workload._BLOCK_BYTES // (4 * d)  # float32 rows per byte block
+        rng = np.random.default_rng(48)
+        a = rng.standard_normal((2 * block_rows, d)).astype(np.float32)
+        b = a.copy()
+        start = block_rows if first_diff_row else 0
+        b[start:] = rng.standard_normal((b.shape[0] - start, d)) + 1.0
+        cfg = SWDConfig(k_pca=4, l_random=2, pca_subsample=256, seed=11)
+        ab = build_basis(EmbeddingSet(data=a), EmbeddingSet(data=b), cfg)
+        ba = build_basis(EmbeddingSet(data=b), EmbeddingSet(data=a), cfg)
+        assert np.array_equal(ab.directions, ba.directions)
+
+    def test_canonical_order_is_byte_order(self):
+        # The order must stay that of comparing the raw bytes, or bases of
+        # equal-size pairs (and descriptors built from them) would change.
+        rng = np.random.default_rng(49)
+        a = rng.standard_normal((3 * workload._BLOCK_BYTES // 64, 16)).astype(np.float32)
+        cases = [(a, a.copy())]
+        for row in (0, a.shape[0] // 2, a.shape[0] - 1):
+            for value in (-1.0, 1.0, 1e30):
+                b = a.copy()
+                b[row, 5] = value
+                cases += [(a, b), (b, a)]
+        for x, y in cases:
+            assert descriptors._bytes_greater(x, y) == (x.tobytes() > y.tobytes())
+
     def test_small_joint_cloud_pads_k(self):
         # fewer joint rows than k_pca: basis is topped up with random slices
         a = es([[1.0, 2.0, 3.0], [2.0, 1.0, 0.0]])
@@ -340,6 +377,16 @@ class TestComputeDelta:
             feats = delta.features()
             assert np.all(np.isfinite(feats)) and np.all(feats >= 0)
 
+    def test_reused_source_bit_identical_to_fresh_copy(self):
+        src = gaussian_set(700, 6, seed=60)
+        cfg = SWDConfig(k_pca=3, l_random=5, pca_subsample=128, seed=7)
+        compute_delta(src, gaussian_set(300, 6, seed=61), cfg)  # fills the memo
+        for seed, rows in ((62, 500), (63, 700)):
+            tgt = gaussian_set(rows, 6, seed=seed, mean=0.4)
+            reused = compute_delta(src, tgt, cfg)
+            fresh = compute_delta(EmbeddingSet(data=src.data.copy()), tgt, cfg)
+            assert reused.to_dict() == fresh.to_dict()
+
     def test_digest_recorded(self):
         a = gaussian_set(50, 3, seed=57)
         cfg = SWDConfig(k_pca=2, l_random=2, seed=5)
@@ -354,3 +401,50 @@ class TestComputeDelta:
         delta = compute_delta(a, b, SWDConfig(k_pca=2, l_random=2, seed=6))
         back = ShiftDescriptor.from_dict(delta.to_dict())
         assert back == delta
+
+
+def _block_rows(dim):
+    return workload._BLOCK_BYTES // (8 * dim)
+
+
+def _kind_data(kind, rows, dim, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, dim)) * rng.uniform(0.5, 2.0, dim)
+    if kind == "zero-variance columns":
+        x[:, ::3] = 2.5
+    elif kind == "near 1e30":
+        x = 1e30 * (1.0 + 0.1 * x)
+    return x.astype(np.float32)
+
+
+class TestBlockBoundaries:
+    """Block-wise kernels against plain float64 two-pass references, at row
+    counts around one float64 row block."""
+
+    DIM = 256
+    ROWS = (1, _block_rows(256) - 1, _block_rows(256), _block_rows(256) + 1)
+    KINDS = ("gaussian", "zero-variance columns", "near 1e30")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_moments_and_radii(self, rows, kind):
+        src = EmbeddingSet(data=_kind_data(kind, rows, self.DIM, seed=70))
+        tgt = EmbeddingSet(data=_kind_data(kind, rows, self.DIM, seed=71))
+        ms = moments(src, 1e-8)
+        mean, var = reference_moments(src.data, 1e-8)
+        assert max_relative_error(ms.mean, mean) <= ORACLE_REL
+        assert max_relative_error(ms.var, var) <= ORACLE_REL
+        radii = reference_radii(tgt.data, mean, var)
+        got = mahalanobis_descriptor(ms, tgt)
+        assert max_relative_error(got, [radii.mean(), radii.std()]) <= ORACLE_REL
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_sliced_per_slice(self, rows, kind):
+        src = EmbeddingSet(data=_kind_data(kind, rows, self.DIM, seed=72))
+        basis = random_directions(6, self.DIM, seed=73)
+        for other in (rows, 37):
+            tgt = EmbeddingSet(data=_kind_data(kind, other, self.DIM, seed=74))
+            got = sliced_w2_per_slice(src, tgt, basis, quantiles=64)
+            want = reference_sliced_w2_per_slice(src.data, tgt.data, basis.directions, 64)
+            assert max_relative_error(got, want) <= ORACLE_REL

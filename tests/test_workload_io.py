@@ -167,6 +167,33 @@ class TestMoments:
         with pytest.raises(ValueError):
             moments(make_set([[1.0]]), variance_floor=0.0)
 
+    def test_memoized_on_the_set(self):
+        es = make_set(np.random.default_rng(9).standard_normal((20, 3)))
+        assert moments(es) is moments(es)
+
+    def test_memo_keyed_by_floor(self):
+        es = make_set([[1.0, 0.0], [1.0, 2.0]])
+        low = moments(es, variance_floor=1e-8)
+        high = moments(es, variance_floor=0.5)
+        assert high is not low
+        assert low.var[0] == 1e-8 and high.var[0] == 0.5
+        assert moments(es, variance_floor=1e-8) is low
+        assert moments(es, variance_floor=0.5) is high
+
+    def test_new_sets_start_without_memo(self, tmp_path):
+        es = make_set(np.random.default_rng(10).standard_normal((15, 4)))
+        first = moments(es)
+        save_embedding_set(es, tmp_path / "s.fsemb")
+        for other in (
+            subsample(es, es.n, seed=1),
+            EmbeddingSet(data=es.data),
+            load_embedding_set(tmp_path / "s.fsemb"),
+        ):
+            assert "_moments" not in vars(other)
+            again = moments(other)
+            assert again is not first
+            assert np.allclose(again.mean, first.mean) and np.allclose(again.var, first.var)
+
 
 class TestSubsample:
     def test_full_size_is_permutation(self):
