@@ -15,6 +15,7 @@ from driftgauge import (
     gen_gaussian_workload,
     mae,
     predict,
+    predict_many,
     synthetic_accuracy_fn,
     train,
 )
@@ -53,8 +54,9 @@ preds = [predict(params, norm, inst.delta) for inst in test_set]
 print(f"held-out MAE: {mae(preds, [i.accuracy for i in test_set]):.4f} "
       f"(label noise floor is about 0.016)")
 
-# conformal interval from calibration residuals
-residuals = [abs(predict(params, norm, i.delta) - i.accuracy) for i in calib_set]
+# conformal interval from calibration residuals, scored in one batch call
+calib_preds = predict_many(params, norm, [i.delta for i in calib_set])
+residuals = np.abs(calib_preds - [i.accuracy for i in calib_set])
 delta_alpha, insufficient = conformal_interval(residuals, alpha=0.1)
 
 unseen = test_set[0]

@@ -40,6 +40,7 @@ from .evaluator import (
     load_model,
     loss_and_grad,
     predict,
+    predict_many,
     save_model,
     train,
 )

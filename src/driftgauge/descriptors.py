@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,7 +170,7 @@ class ShiftDescriptor:
     def __post_init__(self):
         for name in FEATURE_NAMES:
             v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
+            if not math.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and non-negative, got {v}")
 
     def features(self) -> np.ndarray:

@@ -8,9 +8,12 @@ early-stopped on validation MAE.  Everything here is written against plain
 numpy arrays with explicit, hand-derived gradients so the whole train/predict
 pipeline is a pure function of (data, config, seed).
 
-Trained models serialize to ``.fsmlp`` files: magic + a JSON header (shapes,
-normalizer, training report, descriptor config) + the float32 parameter block
-in declaration order.
+Parameters live in one float64 vector with per-tensor views, so updates and
+serialization are whole-vector operations; inference runs each row through one
+single-row kernel, so ``predict_many`` equals per-row ``predict`` bit for bit.
+Models serialize to ``.fsmlp``: magic + a JSON header (shapes, normalizer, train
+report, descriptor config) + the flat vector as float32, which is the
+unchanged block layout of every tensor in declaration order.
 """
 
 from __future__ import annotations
@@ -19,11 +22,11 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .descriptors import SWDConfig, ShiftDescriptor
+from .descriptors import NUM_FEATURES, SWDConfig, ShiftDescriptor
 from .errors import (
     BadMagic,
     ConfigMismatch,
@@ -46,58 +49,65 @@ MODEL_VERSION = 1
 _MODEL_HEADER = struct.Struct("<8sIQ")
 
 
-@dataclass
-class MLPParams:
-    """All learnable tensors, kept as float64 lists in declaration order:
-    per affine layer its weight then bias, with layer-norm gain/offset
-    following the first three (hidden) layers."""
+def _shapes(layer_dims: tuple[int, ...]) -> list[tuple[str, tuple[int, ...]]]:
+    """(field, shape) of every tensor in declaration order, which is also the
+    ``.fsmlp`` block order: per affine layer its weight then bias, followed
+    for each hidden layer by the layer-norm gain and offset."""
+    out = []
+    for i, (fan_in, fan_out) in enumerate(zip(layer_dims[:-1], layer_dims[1:])):
+        out += [("weights", (fan_in, fan_out)), ("biases", (fan_out,))]
+        if i < len(layer_dims) - 2:
+            out += [("ln_gain", (fan_out,)), ("ln_offset", (fan_out,))]
+    return out
 
-    layer_dims: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    ln_gain: list[np.ndarray]
-    ln_offset: list[np.ndarray]
+
+class MLPParams:
+    """All learnable tensors in one contiguous float64 vector ``flat``;
+    ``weights``, ``biases``, ``ln_gain`` and ``ln_offset`` are lists of views
+    into it in :func:`_shapes` order.  The constructor packs separate tensors
+    into a new vector; :meth:`from_flat` wraps one without copying."""
+
+    def __init__(self, layer_dims, weights, biases, ln_gain, ln_offset):
+        given = {"weights": iter(weights), "biases": iter(biases),
+                 "ln_gain": iter(ln_gain), "ln_offset": iter(ln_offset)}
+        shapes = _shapes(tuple(layer_dims))
+        tensors = [np.asarray(next(given[field]), dtype=np.float64) for field, _ in shapes]
+        if [t.shape for t in tensors] != [shape for _, shape in shapes]:
+            raise ShapeMismatch(f"tensor shapes do not fit layer_dims {layer_dims}")
+        self._bind(tuple(layer_dims), np.concatenate([t.ravel() for t in tensors]))
+
+    @classmethod
+    def from_flat(cls, layer_dims, flat: np.ndarray) -> "MLPParams":
+        self = cls.__new__(cls)
+        self._bind(tuple(layer_dims), np.asarray(flat, dtype=np.float64))
+        return self
+
+    def _bind(self, layer_dims: tuple[int, ...], flat: np.ndarray) -> None:
+        shapes = _shapes(layer_dims)
+        if flat.shape != (sum(math.prod(shape) for _, shape in shapes),):
+            raise ShapeMismatch(f"flat vector of shape {flat.shape} does not fit {layer_dims}")
+        self.layer_dims, self.flat, self._views = layer_dims, flat, []
+        self.weights, self.biases, self.ln_gain, self.ln_offset = [], [], [], []
+        offset = 0
+        for field, shape in shapes:
+            view = flat[offset : offset + math.prod(shape)].reshape(shape)
+            getattr(self, field).append(view)
+            self._views.append(view)
+            offset += view.size
 
     @property
     def input_dim(self) -> int:
         return self.layer_dims[0]
 
     def tensors(self) -> list[np.ndarray]:
-        out = []
-        hidden = len(self.layer_dims) - 2
-        for i in range(len(self.weights)):
-            out.append(self.weights[i])
-            out.append(self.biases[i])
-            if i < hidden:
-                out.append(self.ln_gain[i])
-                out.append(self.ln_offset[i])
-        return out
+        return list(self._views)
 
     def map(self, fn, *others: "MLPParams") -> "MLPParams":
-        """Apply ``fn`` elementwise across this tree and any parallel trees."""
-        mine = self.tensors()
-        rest = [o.tensors() for o in others]
-        new = [fn(*(t[i] for t in [mine, *rest])) for i in range(len(mine))]
-        return _from_tensors(self.layer_dims, new)
+        """Apply the elementwise ``fn`` once to this and the others' flat vectors."""
+        return MLPParams.from_flat(self.layer_dims, fn(self.flat, *(o.flat for o in others)))
 
     def copy(self) -> "MLPParams":
-        return self.map(np.copy)
-
-    def num_parameters(self) -> int:
-        return sum(t.size for t in self.tensors())
-
-
-def _from_tensors(layer_dims: tuple[int, ...], tensors: list[np.ndarray]) -> MLPParams:
-    weights, biases, gains, offsets = [], [], [], []
-    hidden = len(layer_dims) - 2
-    it = iter(tensors)
-    for i in range(len(layer_dims) - 1):
-        weights.append(next(it))
-        biases.append(next(it))
-        if i < hidden:
-            gains.append(next(it))
-            offsets.append(next(it))
-    return MLPParams(layer_dims, weights, biases, gains, offsets)
+        return MLPParams.from_flat(self.layer_dims, self.flat.copy())
 
 
 def init_mlp(input_dim: int, seed: int) -> MLPParams:
@@ -131,21 +141,25 @@ def dropout_masks(
 
 
 def _forward(params: MLPParams, x: np.ndarray, masks, rate: float, want_caches: bool):
+    """``x`` is ``(B, D)`` in training (one GEMM per layer) or ``(B, 1, D)`` in
+    inference, where each row takes the single-row product whatever B is.
+    Layer norm is numpy's mean/var arithmetic without their Python wrappers."""
     hidden = len(params.layer_dims) - 2
     keep = 1.0 - rate
     caches = []
     a = x
     for i in range(hidden):
         z = a @ params.weights[i] + params.biases[i]
-        mu = z.mean(axis=1, keepdims=True)
-        istd = 1.0 / np.sqrt(z.var(axis=1, keepdims=True) + LN_EPS)
-        xhat = (z - mu) * istd
+        width = z.shape[-1]
+        centred = z - np.add.reduce(z, axis=-1, keepdims=True) / width
+        var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / width
+        istd = 1.0 / np.sqrt(var + LN_EPS)
+        xhat = centred * istd
         y = xhat * params.ln_gain[i] + params.ln_offset[i]
-        r = np.maximum(y, 0.0)
-        out = r * masks[i] / keep if masks is not None else r
         if want_caches:
             caches.append((a, xhat, istd, y))
-        a = out
+        a = np.maximum(y, 0.0)
+        a = a * masks[i] / keep if masks is not None else a
     preds = (a @ params.weights[-1] + params.biases[-1]).ravel()
     return preds, a, caches
 
@@ -165,18 +179,11 @@ def forward(
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != params.input_dim:
         raise ShapeMismatch(f"expected a length-{params.input_dim} vector, got {x.shape}")
-    masks = (
-        dropout_masks(params.layer_dims, 1, dropout_seed, dropout)
-        if train_mode and dropout > 0
-        else None
-    )
+    masks = None
+    if train_mode and dropout > 0:
+        masks = dropout_masks(params.layer_dims, 1, dropout_seed, dropout)
     preds, _, _ = _forward(params, x[None, :], masks, dropout, want_caches=False)
     return float(preds[0])
-
-
-def _forward_batch(params: MLPParams, x: np.ndarray) -> np.ndarray:
-    preds, _, _ = _forward(params, x, None, 0.0, want_caches=False)
-    return preds
 
 
 def loss_and_grad(
@@ -200,45 +207,38 @@ def loss_and_grad(
     if x.shape[0] != y.shape[0] or x.shape[0] == 0:
         raise ShapeMismatch("batch features and targets must align and be non-empty")
     batch = x.shape[0]
-    hidden = len(params.layer_dims) - 2
     keep = 1.0 - dropout
-    masks = (
-        dropout_masks(params.layer_dims, batch, seed, dropout)
-        if train_mode and dropout > 0
-        else None
-    )
+    masks = None
+    if train_mode and dropout > 0:
+        masks = dropout_masks(params.layer_dims, batch, seed, dropout)
     preds, a_last, caches = _forward(params, x, masks, dropout, want_caches=True)
 
     err = preds - y
     mse = float(np.mean(err**2))
     dpreds = (2.0 / batch) * err
 
-    g_weights = [None] * len(params.weights)
-    g_biases = [None] * len(params.biases)
-    g_gains = [None] * hidden
-    g_offsets = [None] * hidden
-
-    g_weights[-1] = a_last.T @ dpreds[:, None]
-    g_biases[-1] = np.array([dpreds.sum()])
+    grads = MLPParams.from_flat(params.layer_dims, np.empty_like(params.flat))
+    np.matmul(a_last.T, dpreds[:, None], out=grads.weights[-1])
+    grads.biases[-1][0] = dpreds.sum()
     da = np.outer(dpreds, params.weights[-1][:, 0])
 
-    for i in range(hidden - 1, -1, -1):
+    for i in reversed(range(len(caches))):
         a_in, xhat, istd, pre_relu = caches[i]
         dr = da * masks[i] / keep if masks is not None else da
         dy = dr * (pre_relu > 0)
-        g_gains[i] = (dy * xhat).sum(axis=0)
-        g_offsets[i] = dy.sum(axis=0)
+        np.add.reduce(dy * xhat, axis=0, out=grads.ln_gain[i])
+        np.add.reduce(dy, axis=0, out=grads.ln_offset[i])
         dxhat = dy * params.ln_gain[i]
+        width = dxhat.shape[-1]
         dz = istd * (
             dxhat
-            - dxhat.mean(axis=1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+            - np.add.reduce(dxhat, axis=-1, keepdims=True) / width
+            - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / width)
         )
-        g_weights[i] = a_in.T @ dz
-        g_biases[i] = dz.sum(axis=0)
+        np.matmul(a_in.T, dz, out=grads.weights[i])
+        np.add.reduce(dz, axis=0, out=grads.biases[i])
         da = dz @ params.weights[i].T
 
-    grads = MLPParams(params.layer_dims, g_weights, g_biases, g_gains, g_offsets)
     return mse, grads
 
 
@@ -292,15 +292,14 @@ def adamw_step(
     t = state.t + 1
     bc1 = 1.0 - cfg.beta1**t
     bc2 = 1.0 - cfg.beta2**t
-    new_m = state.m.map(lambda m, g: cfg.beta1 * m + (1 - cfg.beta1) * g, grads)
-    new_v = state.v.map(lambda v, g: cfg.beta2 * v + (1 - cfg.beta2) * g * g, grads)
-
-    def update(w, m, v):
-        decayed = w * (1.0 - lr * cfg.weight_decay)
-        return decayed - lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-
-    new_params = params.map(update, new_m, new_v)
-    return new_params, AdamState(m=new_m, v=new_v, t=t)
+    g = grads.flat
+    m = cfg.beta1 * state.m.flat + (1 - cfg.beta1) * g
+    v = cfg.beta2 * state.v.flat + (1 - cfg.beta2) * g * g
+    decayed = params.flat * (1.0 - lr * cfg.weight_decay)
+    w = decayed - lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    dims = params.layer_dims
+    new_m, new_v = MLPParams.from_flat(dims, m), MLPParams.from_flat(dims, v)
+    return MLPParams.from_flat(dims, w), AdamState(m=new_m, v=new_v, t=t)
 
 
 def cosine_lr(step: int, total_steps: int, lr0: float, eta_min: float = 0.0) -> float:
@@ -368,13 +367,7 @@ class TrainReport:
     degenerate_targets: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "epochs_run": self.epochs_run,
-            "best_val_mae": self.best_val_mae,
-            "train_loss_curve": self.train_loss_curve,
-            "stopped_early": self.stopped_early,
-            "degenerate_targets": self.degenerate_targets,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainReport":
@@ -401,8 +394,8 @@ def meta_set_arrays(meta_set) -> tuple[np.ndarray, np.ndarray, str]:
 
 
 def _batch_mae(params: MLPParams, x: np.ndarray, y: np.ndarray) -> float:
-    preds = np.clip(_forward_batch(params, x), 0.0, 1.0)
-    return float(np.mean(np.abs(preds - y)))
+    preds, _, _ = _forward(params, x, None, 0.0, want_caches=False)
+    return float(np.mean(np.abs(np.clip(preds, 0.0, 1.0) - y)))
 
 
 def train(meta_set, cfg: TrainConfig) -> tuple[MLPParams, Normalizer, TrainReport]:
@@ -485,18 +478,26 @@ def train(meta_set, cfg: TrainConfig) -> tuple[MLPParams, Normalizer, TrainRepor
     return best_params, norm, report
 
 
-def predict(params: MLPParams, norm: Normalizer, delta: ShiftDescriptor) -> float:
-    """Estimate accuracy for one shift descriptor; output clipped to [0, 1].
-
-    Refuses descriptors produced under a different configuration than the
-    one the normalizer was fitted for.
+def predict_many(params: MLPParams, norm: Normalizer, deltas) -> np.ndarray:
+    """Accuracy estimates in [0, 1], shape ``(len(deltas),)``, each
+    bit-identical to :func:`predict` on that descriptor alone.  Refuses
+    descriptors computed under another configuration than the normalizer's.
     """
-    if norm.config_digest != delta.config_digest:
+    if any(d.config_digest != norm.config_digest for d in deltas):
         raise ConfigMismatch(
             "descriptor was computed under a different configuration than the model"
         )
-    raw = forward(params, norm.apply(delta.features()), train_mode=False)
-    return float(np.clip(raw, 0.0, 1.0))
+    feats = np.array([d.features() for d in deltas], dtype=np.float64)
+    x = norm.apply(feats.reshape(len(deltas), NUM_FEATURES))
+    if x.shape[1] != params.input_dim:
+        raise ShapeMismatch(f"model expects {params.input_dim} features, got {x.shape[1]}")
+    preds, _, _ = _forward(params, x[:, None, :], None, 0.0, want_caches=False)
+    return np.clip(preds, 0.0, 1.0)
+
+
+def predict(params: MLPParams, norm: Normalizer, delta: ShiftDescriptor) -> float:
+    """Estimate accuracy for one shift descriptor; see :func:`predict_many`."""
+    return float(predict_many(params, norm, (delta,))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +542,7 @@ def save_model(
         "seed": seed,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    block = b"".join(t.astype("<f4").tobytes(order="C") for t in params.tensors())
+    block = params.flat.astype("<f4").tobytes()
     blob = _MODEL_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, len(header_bytes)) + header_bytes + block
     try:
         _atomic_write(path, blob)
@@ -567,27 +568,16 @@ def load_model(path: str | os.PathLike) -> LoadedModel:
     except json.JSONDecodeError as exc:
         raise BadMagic(f"{path}: corrupt header") from exc
 
-    layer_dims = tuple(header["layer_dims"])
-    shapes = []
-    hidden = len(layer_dims) - 2
-    for i, (fan_in, fan_out) in enumerate(zip(layer_dims[:-1], layer_dims[1:])):
-        shapes.append((fan_in, fan_out))
-        shapes.append((fan_out,))
-        if i < hidden:
-            shapes.append((fan_out,))
-            shapes.append((fan_out,))
-    expected = sum(int(np.prod(s)) for s in shapes) * 4
+    dims = header.get("layer_dims") if isinstance(header, dict) else None
+    if not (isinstance(dims, list) and len(dims) >= 2
+            and all(type(d) is int and d > 0 for d in dims)):
+        raise BadMagic(f"{path}: header lacks a valid layer_dims list")
+    layer_dims = tuple(dims)
+    expected = sum(math.prod(s) for _, s in _shapes(layer_dims)) * 4
     block = raw[_MODEL_HEADER.size + header_len :]
     if len(block) != expected:
         raise TruncatedPayload(f"{path}: parameter block {len(block)} bytes, expected {expected}")
-    flat = np.frombuffer(block, dtype="<f4").astype(np.float64)
-    tensors = []
-    offset = 0
-    for s in shapes:
-        size = int(np.prod(s))
-        tensors.append(flat[offset : offset + size].reshape(s))
-        offset += size
-    params = _from_tensors(layer_dims, tensors)
+    params = MLPParams.from_flat(layer_dims, np.frombuffer(block, dtype="<f4").astype(np.float64))
     report = header.get("train_report")
     swd = header.get("swd_config")
     return LoadedModel(

@@ -24,6 +24,7 @@ from .errors import (
     CapExceeded,
     InvalidBounds,
     InvalidValue,
+    ParseError,
 )
 from .seeding import rng_for
 from .workload import DEFAULT_VARIANCE_FLOOR, EmbeddingSet, _atomic_write
@@ -293,10 +294,14 @@ def save_meta_set(instances, path: str | os.PathLike) -> None:
 
 
 def load_meta_set(path: str | os.PathLike) -> list[MetaInstance]:
+    """One instance per non-blank line; a bad line is a ParseError naming it."""
+    path = os.fspath(path)
     out = []
-    with open(os.fspath(path), "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(MetaInstance.from_dict(json.loads(line)))
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    out.append(MetaInstance.from_dict(json.loads(line)))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ParseError(f"{path}, line {lineno}: {exc!r}") from exc
     return out

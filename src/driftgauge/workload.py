@@ -91,6 +91,9 @@ class EmbeddingSet:
     kept resident across many targets pays for its moments once.  The memo
     is safe for concurrent reads as well: two threads may both compute a
     missing summary, but the first one stored is returned to both.
+    A C-contiguous float32 ``data`` array is not copied, only made read-only;
+    the caller must not write to it after construction (say, after setting
+    the write flag again): the moments memo and ``_BASIS_CACHE`` trust it.
     """
 
     data: np.ndarray

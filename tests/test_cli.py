@@ -130,6 +130,54 @@ class TestCliWorkflow:
         err = capsys.readouterr().err
         assert json.loads(err.strip())["error"] == "ConfigMismatch"
 
+    def _untrained_predict_inputs(self, d):
+        """Source, target, a well-formed calibration set and an untrained
+        model whose normalizer matches the descriptor configuration."""
+        from driftgauge import DEFAULT_VARIANCE_FLOOR, Normalizer, SWDConfig, init_mlp, save_model
+
+        self._gen_inputs(d)
+        cfg = SWDConfig(k_pca=2, l_random=4, seed=1)
+        norm = Normalizer(np.zeros(5), np.ones(5), cfg.digest(DEFAULT_VARIANCE_FLOOR))
+        save_model(d / "model.fsmlp", init_mlp(5, seed=0), norm, swd_config=cfg)
+        delta = dict(sd_f=1.0, sd_m_mean=1.0, sd_m_std=0.5, sd_sw=0.2, euclid_mean=0.3,
+                     config_digest=norm.config_digest)
+        row = {"task_id": "m", "sample_set_id": "s", "sample_set_size": 3,
+               "delta": delta, "accuracy": 0.5}
+        (d / "calib.jsonl").write_text(json.dumps(row) + "\n")
+
+    def _predict(self, d):
+        return cli("predict", "--model", d / "model.fsmlp", "--source", d / "src.fsemb",
+                   "--target", d / "tgt.fsemb", "--calib", d / "calib.jsonl",
+                   "--out", d / "report.json")
+
+    def test_predict_bad_calibration_line_exits_1(self, workdir, capsys):
+        self._untrained_predict_inputs(workdir)
+        assert self._predict(workdir) == 0
+        good = (workdir / "calib.jsonl").read_text()
+        for bad in ('{"task_id": ', '{"task_id": "m"}'):
+            (workdir / "calib.jsonl").write_text(good + bad + "\n")
+            capsys.readouterr()
+            assert self._predict(workdir) == 1
+            payload = json.loads(capsys.readouterr().err.strip())
+            assert payload["error"] == "ParseError"
+            assert "calib.jsonl, line 2" in payload["message"]
+
+    def test_predict_model_header_without_layer_dims_exits_1(self, workdir, capsys):
+        import struct
+
+        self._untrained_predict_inputs(workdir)
+        blob = (workdir / "model.fsmlp").read_bytes()
+        start = struct.calcsize("<8sIQ")
+        magic, version, n = struct.unpack_from("<8sIQ", blob)
+        header = json.loads(blob[start : start + n])
+        del header["layer_dims"]
+        head = json.dumps(header).encode("utf-8")
+        (workdir / "model.fsmlp").write_bytes(
+            struct.pack("<8sIQ", magic, version, len(head)) + head + blob[start + n :]
+        )
+        assert self._predict(workdir) == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "BadMagic"
+
     def test_trained_model_beats_trivial_baseline(self, workdir):
         self.test_full_train_predict_flow(workdir)
         from driftgauge import load_meta_set, load_model

@@ -403,6 +403,25 @@ class TestComputeDelta:
         assert back == delta
 
 
+class TestShiftDescriptorValidation:
+    FIELDS = dict(sd_f=1.0, sd_m_mean=1.0, sd_m_std=1.0, sd_sw=1.0, euclid_mean=1.0, config_digest="d")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-12])
+    @pytest.mark.parametrize("name", ["sd_f", "euclid_mean"])
+    def test_non_finite_or_negative_rejected(self, name, bad):
+        from driftgauge import ShiftDescriptor
+
+        with pytest.raises(ValueError):
+            ShiftDescriptor(**{**self.FIELDS, name: bad})
+
+    @pytest.mark.parametrize("value", [np.float32(1.5), np.float64(2.0), 0, 0.0])
+    def test_numpy_and_python_scalars_accepted(self, value):
+        from driftgauge import ShiftDescriptor
+
+        delta = ShiftDescriptor(**{**self.FIELDS, "sd_sw": value})
+        assert delta.features()[3] == float(value)
+
+
 def _block_rows(dim):
     return workload._BLOCK_BYTES // (8 * dim)
 

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -13,11 +15,20 @@ from driftgauge import (
     load_model,
     loss_and_grad,
     predict,
+    predict_many,
     save_model,
     train,
 )
-from driftgauge.errors import ConfigMismatch, InsufficientData, ShapeMismatch
-from driftgauge.evaluator import AdamState, MLPParams, TrainReport, zeros_like
+from driftgauge.errors import BadMagic, ConfigMismatch, InsufficientData, ShapeMismatch
+from driftgauge.evaluator import (
+    LN_EPS,
+    AdamState,
+    MLPParams,
+    Normalizer,
+    TrainReport,
+    _forward,
+    zeros_like,
+)
 from helpers import (
     finite_diff_grads,
     max_relative_error,
@@ -313,4 +324,185 @@ class TestModelFile:
         blob = path.read_bytes()
         path.write_bytes(blob[:-4])
         with pytest.raises(TruncatedPayload):
+            load_model(path)
+
+
+# ---------------------------------------------------------------------------
+# the flat parameter vector and row-exact inference, checked bit for bit
+# against the per-tensor and ndarray.mean/var formulations they replaced
+
+
+def perturbed(seed, input_dim=5):
+    rng = np.random.default_rng(seed)
+    return init_mlp(input_dim, seed=seed).map(lambda t: t + 0.1 * rng.standard_normal(t.shape))
+
+
+def mean_var_forward(params, x):
+    """Inference forward pass with layer norm written via ndarray.mean/var."""
+    a = x
+    for i in range(len(params.layer_dims) - 2):
+        z = a @ params.weights[i] + params.biases[i]
+        mu = z.mean(axis=1, keepdims=True)
+        istd = 1.0 / np.sqrt(z.var(axis=1, keepdims=True) + LN_EPS)
+        a = np.maximum((z - mu) * istd * params.ln_gain[i] + params.ln_offset[i], 0.0)
+    return (a @ params.weights[-1] + params.biases[-1]).ravel()
+
+
+def mean_var_grads(params, x, y):
+    """Inference-mode MSE gradient as per-tensor lists, layer norm via
+    ndarray.mean/var, in declaration order."""
+    caches, a = [], x
+    for i in range(len(params.layer_dims) - 2):
+        z = a @ params.weights[i] + params.biases[i]
+        mu = z.mean(axis=1, keepdims=True)
+        istd = 1.0 / np.sqrt(z.var(axis=1, keepdims=True) + LN_EPS)
+        xhat = (z - mu) * istd
+        pre = xhat * params.ln_gain[i] + params.ln_offset[i]
+        caches.append((a, xhat, istd, pre))
+        a = np.maximum(pre, 0.0)
+    dpreds = (2.0 / len(y)) * ((a @ params.weights[-1] + params.biases[-1]).ravel() - y)
+    out = [a.T @ dpreds[:, None], np.array([dpreds.sum()])]
+    da = np.outer(dpreds, params.weights[-1][:, 0])
+    for i in range(len(caches) - 1, -1, -1):
+        a_in, xhat, istd, pre = caches[i]
+        dy = da * (pre > 0)
+        dxhat = dy * params.ln_gain[i]
+        dz = istd * (
+            dxhat
+            - dxhat.mean(axis=1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+        )
+        out = [a_in.T @ dz, dz.sum(axis=0), (dy * xhat).sum(axis=0), dy.sum(axis=0)] + out
+        da = dz @ params.weights[i].T
+    return out
+
+
+class TestFlatParams:
+    def test_tensors_are_views_of_flat_in_declaration_order(self):
+        p = init_mlp(5, seed=0)
+        assert all(np.shares_memory(t, p.flat) for t in p.tensors())
+        assert np.array_equal(np.concatenate([t.ravel() for t in p.tensors()]), p.flat)
+        assert [t.shape for t in p.tensors()][:6] == [(5, 256), (256,), (256,), (256,), (256, 128), (128,)]
+        p.biases[-1][0] = 3.0
+        assert p.flat[-1] == 3.0
+
+    def test_constructor_packs_a_new_vector(self):
+        p = perturbed(1)
+        q = MLPParams(p.layer_dims, p.weights, p.biases, p.ln_gain, p.ln_offset)
+        assert np.array_equal(q.flat, p.flat) and not np.shares_memory(q.flat, p.flat)
+
+    def test_from_flat_wraps_without_copying(self):
+        p = init_mlp(3, seed=2)
+        assert MLPParams.from_flat(p.layer_dims, p.flat).flat is p.flat
+
+    def test_shapes_checked(self):
+        p = init_mlp(3, seed=3)
+        with pytest.raises(ShapeMismatch):
+            MLPParams.from_flat(p.layer_dims, p.flat[:-1])
+        with pytest.raises(ShapeMismatch):
+            MLPParams(p.layer_dims, [w.T for w in p.weights], p.biases, p.ln_gain, p.ln_offset)
+
+    def test_map_draw_equals_per_tensor_draws(self):
+        p = init_mlp(5, seed=4)
+        flat = p.map(lambda t: t + np.random.default_rng(5).standard_normal(t.shape))
+        rng = np.random.default_rng(5)
+        for a, b in zip(flat.tensors(), p.tensors()):
+            assert np.array_equal(a, b + rng.standard_normal(b.shape))
+
+
+class TestBitIdentity:
+    def test_forward_both_layouts_match_mean_var_formulas(self):
+        p = perturbed(6)
+        x = np.random.default_rng(7).standard_normal((9, 5))
+        batch, _, _ = _forward(p, x, None, 0.0, want_caches=False)
+        assert np.array_equal(batch, mean_var_forward(p, x))
+        stacked, _, _ = _forward(p, x[:, None, :], None, 0.0, want_caches=False)
+        assert np.array_equal(stacked, [mean_var_forward(p, row[None, :])[0] for row in x])
+
+    def test_loss_and_grad_matches_mean_var_formulas(self):
+        p = perturbed(8)
+        rng = np.random.default_rng(9)
+        x, y = rng.standard_normal((13, 5)), rng.random(13)
+        _, grads = loss_and_grad(p, x, y)
+        for got, want in zip(grads.tensors(), mean_var_grads(p, x, y), strict=True):
+            assert np.array_equal(got, want)
+
+    def test_adamw_matches_per_tensor_formulas(self):
+        p, g = perturbed(10), perturbed(11)
+        cfg = TrainConfig(weight_decay=1e-3)
+        state = AdamState(m=perturbed(12), v=perturbed(13).map(np.abs), t=4)
+        out, new = adamw_step(state, p, g, lr=3e-4, cfg=cfg)
+        t = state.t + 1
+        bc1, bc2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
+        for w, gt, m, v, w2, m2, v2 in zip(
+            p.tensors(), g.tensors(), state.m.tensors(), state.v.tensors(),
+            out.tensors(), new.m.tensors(), new.v.tensors(),
+        ):
+            m_ref = cfg.beta1 * m + (1 - cfg.beta1) * gt
+            v_ref = cfg.beta2 * v + (1 - cfg.beta2) * gt * gt
+            decayed = w * (1.0 - 3e-4 * cfg.weight_decay)
+            w_ref = decayed - 3e-4 * (m_ref / bc1) / (np.sqrt(v_ref / bc2) + 1e-8)
+            assert np.array_equal(m2, m_ref) and np.array_equal(v2, v_ref)
+            assert np.array_equal(w2, w_ref)
+        assert new.t == t
+
+
+class TestPredictMany:
+    def model(self):
+        feats = np.stack([m.delta.features() for m in synthetic_instances(30, seed=14)])
+        return perturbed(15), Normalizer.fit(feats, "synthdigest")
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 64, 1001])
+    def test_bit_identical_to_per_row_predict(self, n):
+        params, norm = self.model()
+        deltas = [m.delta for m in synthetic_instances(n, seed=16)]
+        got = predict_many(params, norm, deltas)
+        assert got.shape == (n,)
+        assert np.array_equal(got, [predict(params, norm, d) for d in deltas])
+
+    def test_config_mismatch_in_any_row(self):
+        params, norm = self.model()
+        deltas = [m.delta for m in synthetic_instances(4, seed=17)]
+        deltas[2] = synthetic_instances(1, seed=18, digest="foreign")[0].delta
+        with pytest.raises(ConfigMismatch):
+            predict_many(params, norm, deltas)
+
+
+def write_pre_flat_model(path, params, norm, report, seed):
+    """A model file assembled the way ``save_model`` wrote it before the flat
+    vector: the header, then each tensor's float32 bytes in declaration order."""
+    header = {
+        "layer_dims": list(params.layer_dims),
+        "input_dim": params.layer_dims[0],
+        "config_digest": norm.config_digest,
+        "normalizer": norm.to_dict(),
+        "train_report": report.to_dict(),
+        "swd_config": None,
+        "variance_floor": 1e-8,
+        "meta_init": False,
+        "seed": seed,
+    }
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    blob = struct.pack("<8sIQ", b"FSMLP\x00\x00\x00", 1, len(head)) + head
+    path.write_bytes(blob + b"".join(t.astype("<f4").tobytes() for t in params.tensors()))
+
+
+class TestModelFileLayout:
+    def test_pre_flat_files_load_and_rewrite_byte_identically(self, tmp_path):
+        params, norm, report = train(synthetic_instances(40, seed=19), TrainConfig(seed=6, max_epochs=2))
+        old = tmp_path / "old.fsmlp"
+        write_pre_flat_model(old, params, norm, report, seed=9)
+        loaded = load_model(old)
+        for got, orig in zip(loaded.params.tensors(), params.tensors(), strict=True):
+            assert np.array_equal(got, orig.astype(np.float32).astype(np.float64))
+        new = tmp_path / "new.fsmlp"
+        save_model(new, params, norm, train_report=report, seed=9)
+        assert new.read_bytes() == old.read_bytes()
+
+    @pytest.mark.parametrize("header", [{"seed": 0}, {"layer_dims": "5"}, {"layer_dims": [5, 0, 1]}, [5, 1]])
+    def test_header_without_valid_layer_dims_is_bad_magic(self, tmp_path, header):
+        head = json.dumps(header).encode("utf-8")
+        path = tmp_path / "m.fsmlp"
+        path.write_bytes(struct.pack("<8sIQ", b"FSMLP\x00\x00\x00", 1, len(head)) + head)
+        with pytest.raises(BadMagic):
             load_model(path)

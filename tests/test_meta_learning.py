@@ -13,6 +13,7 @@ from driftgauge import (
 )
 from driftgauge.errors import EmptyProbe, InsufficientTasks, ShapeMismatch
 from driftgauge.evaluator import loss_and_grad, zeros_like
+from driftgauge.meta_learning import _gd_steps
 from helpers import synthetic_instances
 
 
@@ -57,6 +58,17 @@ class TestInnerAdapt:
             manual = manual.map(lambda w, g: w - alpha * g, grads)
         assert params_close(out, manual)
 
+    def test_one_step_bit_identical_to_per_tensor_update(self):
+        insts = synthetic_instances(8, seed=5)
+        norm = norm_for(insts)
+        theta = init_mlp(5, seed=6)
+        out = _gd_steps(theta, norm, insts, 0.03, 1)
+        feats = np.stack([i.delta.features() for i in insts])
+        labels = np.array([i.accuracy for i in insts])
+        _, grads = loss_and_grad(theta, norm.apply(feats), labels, train_mode=False)
+        for got, w, g in zip(out.tensors(), theta.tensors(), grads.tensors(), strict=True):
+            assert np.array_equal(got, w - 0.03 * g)
+
 
 class TestReptileOuter:
     def test_epsilon_zero(self):
@@ -81,6 +93,14 @@ class TestReptileOuter:
         out = reptile_outer(a, b, eps)
         expect = a.map(lambda x, y: (1 - eps) * x + eps * y, b)
         assert params_close(out, expect, atol=1e-15)
+
+    def test_bit_identical_to_per_tensor_interpolation(self):
+        rng = np.random.default_rng(14)
+        a = init_mlp(5, seed=15).map(lambda t: t + rng.standard_normal(t.shape))
+        b = init_mlp(5, seed=16)
+        out = reptile_outer(a, b, 0.3)
+        for got, x, y in zip(out.tensors(), a.tensors(), b.tensors(), strict=True):
+            assert np.array_equal(got, (1.0 - 0.3) * x + 0.3 * y)
 
     def test_shape_mismatch(self):
         a = init_mlp(5, seed=12)

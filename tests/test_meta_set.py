@@ -15,7 +15,7 @@ from driftgauge import (
     save_meta_set,
     worst_case_bound,
 )
-from driftgauge.errors import BudgetExhausted, CapExceeded, InvalidBounds
+from driftgauge.errors import BudgetExhausted, CapExceeded, InvalidBounds, ParseError
 
 PAPER_COSTS = dict(c_gen=0.00012, c_val=0.00003, c_exec=0.0004)
 
@@ -212,3 +212,20 @@ class TestMetaSetFile:
         assert len(lines) == 4
         row = json.loads(lines[0])
         assert set(row) == {"task_id", "sample_set_id", "sample_set_size", "delta", "accuracy"}
+
+    def _good_line(self):
+        delta = dict(sd_f=1.0, sd_m_mean=1.0, sd_m_std=0.5, sd_sw=0.2, euclid_mean=0.3,
+                     config_digest="d")
+        return json.dumps({"task_id": "m", "sample_set_id": "s", "sample_set_size": 3,
+                           "delta": delta, "accuracy": 0.5})
+
+    @pytest.mark.parametrize(
+        "bad",
+        ['{"task_id": "m", ', '{"task_id": "m"}', "[1, 2]", '{"accuracy": "high"}'],
+        ids=["malformed", "missing-field", "not-an-object", "bad-value"],
+    )
+    def test_bad_line_is_parse_error_with_location(self, tmp_path, bad):
+        path = tmp_path / "meta.jsonl"
+        path.write_text(self._good_line() + "\n\n" + bad + "\n")
+        with pytest.raises(ParseError, match=r"meta\.jsonl, line 3"):
+            load_meta_set(path)
