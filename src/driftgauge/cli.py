@@ -27,6 +27,7 @@ from .meta_learning import MetaTask, adapt_to_model, meta_train
 from .meta_set import (
     BudgetLedger,
     MetaInstance,
+    jsonl_records,
     load_meta_set,
     plan_budget,
     save_meta_set,
@@ -240,17 +241,18 @@ def _cmd_budget_ledger(args) -> int:
     )
     rejected = []
     accepted = 0
-    with open(args.charges, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            req = json.loads(line)
-            try:
-                ledger.charge(str(req["db_id"]), str(req["kind"]), int(req["count"]))
-                accepted += 1
-            except DriftGaugeError as exc:
-                rejected.append({"line": lineno, **exc.payload()})
+    requests = jsonl_records(
+        args.charges, lambda req: (str(req["db_id"]), str(req["kind"]), int(req["count"]))
+    )
+    for lineno, (db_id, kind, count) in requests:
+        try:
+            ledger.charge(db_id, kind, count)
+            accepted += 1
+        except DriftGaugeError as exc:
+            rejected.append({"line": lineno, **exc.payload()})
+        except ValueError as exc:
+            # An unknown kind or a non-positive count is a malformed line.
+            raise ParseError(f"{args.charges}, line {lineno}: {exc}") from exc
     payload = ledger.snapshot()
     payload["accepted_charges"] = accepted
     payload["rejected_charges"] = rejected

@@ -241,23 +241,6 @@ def random_directions(num: int, dim: int, seed: int) -> ProjectionBasis:
     return ProjectionBasis(directions=dirs, provenance=("random",) * num)
 
 
-def _orthonormal_columns(y: np.ndarray) -> np.ndarray:
-    """Orthonormal basis for the column space of a tall-skinny matrix.
-
-    Two rounds of Cholesky-QR, which beats LAPACK QR by a wide margin at
-    these shapes; falls back to QR when the Gram matrix is singular."""
-    for _ in range(2):
-        gram = y.T @ y
-        try:
-            r = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            q, _ = np.linalg.qr(y)
-            return q
-        # y @ inv(R)^T via the small triangular system; R is width x width.
-        y = np.linalg.solve(r, y.T).T
-    return y
-
-
 def _principal_directions(
     x: np.ndarray, k: int, oversample: int, power_iters: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, int]:
@@ -265,8 +248,9 @@ def _principal_directions(
 
     Returns (directions, effective_rank); rows past the effective rank are
     random unit pads.  Power iterations rescale columns instead of
-    re-orthonormalizing; one orthonormalization before the projection step
-    restores the basis, which is ample at the default two iterations.
+    re-orthonormalizing; one Householder QR of the sketch before the
+    projection step restores the basis, which is ample at the default two
+    iterations, and stays orthonormal when sketch columns are dependent.
     """
     n, dim = x.shape
     width = min(k + max(oversample, 0), min(n, dim))
@@ -274,7 +258,7 @@ def _principal_directions(
     for _ in range(max(power_iters, 0)):
         y /= np.maximum(np.linalg.norm(y, axis=0, keepdims=True), 1e-300)
         y = x @ (x.T @ y)
-    q = _orthonormal_columns(y)
+    q, _ = np.linalg.qr(y)
     b = q.T @ x
     _, s, vt = np.linalg.svd(b, full_matrices=False)
 

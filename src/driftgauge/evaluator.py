@@ -580,12 +580,18 @@ def load_model(path: str | os.PathLike) -> LoadedModel:
     params = MLPParams.from_flat(layer_dims, np.frombuffer(block, dtype="<f4").astype(np.float64))
     report = header.get("train_report")
     swd = header.get("swd_config")
-    return LoadedModel(
-        params=params,
-        normalizer=Normalizer.from_dict(header["normalizer"]),
-        train_report=TrainReport.from_dict(report) if report else None,
-        meta_init=bool(header.get("meta_init", False)),
-        swd_config=SWDConfig.from_dict(swd) if swd else None,
-        variance_floor=float(header.get("variance_floor", DEFAULT_VARIANCE_FLOOR)),
-        seed=int(header.get("seed", 0)),
-    )
+    try:
+        model = LoadedModel(
+            params=params,
+            normalizer=Normalizer.from_dict(header["normalizer"]),
+            train_report=TrainReport.from_dict(report) if report else None,
+            meta_init=bool(header.get("meta_init", False)),
+            swd_config=SWDConfig.from_dict(swd) if swd else None,
+            variance_floor=float(header.get("variance_floor", DEFAULT_VARIANCE_FLOOR)),
+            seed=int(header.get("seed", 0)),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BadMagic(f"{path}: invalid header field: {exc!r}") from exc
+    if model.normalizer.feature_mean.shape != (layer_dims[0],):
+        raise BadMagic(f"{path}: normalizer does not fit input dimension {layer_dims[0]}")
+    return model

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EmptyProbe, InsufficientTasks, ShapeMismatch
 from .evaluator import (
     MLPParams,
@@ -64,7 +66,11 @@ def _gd_steps(theta: MLPParams, norm: Normalizer, instances, alpha: float, steps
     x = norm.apply(feats)
     for _ in range(steps):
         _, grads = loss_and_grad(theta, x, labels, train_mode=False)
-        theta = theta.map(lambda w, g: w - alpha * g, grads)
+        # grads is a fresh buffer: write w - alpha * g into it, never into theta.
+        g = grads.flat
+        np.multiply(g, alpha, out=g)
+        np.subtract(theta.flat, g, out=g)
+        theta = grads
     return theta
 
 

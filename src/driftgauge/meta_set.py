@@ -24,6 +24,7 @@ from .errors import (
     CapExceeded,
     InvalidBounds,
     InvalidValue,
+    MissingFile,
     ParseError,
 )
 from .seeding import rng_for
@@ -293,15 +294,30 @@ def save_meta_set(instances, path: str | os.PathLike) -> None:
     _atomic_write(os.fspath(path), lines.encode("utf-8"))
 
 
-def load_meta_set(path: str | os.PathLike) -> list[MetaInstance]:
-    """One instance per non-blank line; a bad line is a ParseError naming it."""
+def jsonl_records(path: str | os.PathLike, parse):
+    """Yield ``(line_number, parse(obj))`` for the JSON value on every
+    non-blank line, in file order.  A missing file is MissingFile; text that
+    is not UTF-8, a line that is not JSON, or one whose value ``parse``
+    rejects with ValueError, KeyError or TypeError is a ParseError naming the
+    file (and the line)."""
     path = os.fspath(path)
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
+    if not os.path.isfile(path):
+        raise MissingFile(path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
                 try:
-                    out.append(MetaInstance.from_dict(json.loads(line)))
+                    record = parse(json.loads(line))
                 except (ValueError, KeyError, TypeError) as exc:
                     raise ParseError(f"{path}, line {lineno}: {exc!r}") from exc
-    return out
+                yield lineno, record
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def load_meta_set(path: str | os.PathLike) -> list[MetaInstance]:
+    """One instance per non-blank line; a missing file is MissingFile and a
+    bad line a ParseError naming it."""
+    return [inst for _, inst in jsonl_records(path, MetaInstance.from_dict)]

@@ -162,21 +162,60 @@ class TestCliWorkflow:
             assert payload["error"] == "ParseError"
             assert "calib.jsonl, line 2" in payload["message"]
 
-    def test_predict_model_header_without_layer_dims_exits_1(self, workdir, capsys):
+    @staticmethod
+    def _rewrite_model_header(path, edit):
+        """Apply ``edit`` to the JSON header of a ``.fsmlp`` file in place."""
         import struct
 
-        self._untrained_predict_inputs(workdir)
-        blob = (workdir / "model.fsmlp").read_bytes()
+        blob = path.read_bytes()
         start = struct.calcsize("<8sIQ")
         magic, version, n = struct.unpack_from("<8sIQ", blob)
         header = json.loads(blob[start : start + n])
-        del header["layer_dims"]
+        edit(header)
         head = json.dumps(header).encode("utf-8")
-        (workdir / "model.fsmlp").write_bytes(
-            struct.pack("<8sIQ", magic, version, len(head)) + head + blob[start + n :]
-        )
+        path.write_bytes(struct.pack("<8sIQ", magic, version, len(head)) + head + blob[start + n :])
+
+    def test_predict_model_header_without_layer_dims_exits_1(self, workdir, capsys):
+        self._untrained_predict_inputs(workdir)
+        self._rewrite_model_header(workdir / "model.fsmlp", lambda h: h.pop("layer_dims"))
         assert self._predict(workdir) == 1
         assert json.loads(capsys.readouterr().err.strip())["error"] == "BadMagic"
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h.pop("normalizer"),
+            lambda h: h.update(normalizer=None),
+            lambda h: h["normalizer"].pop("feature_std"),
+            lambda h: h["normalizer"].update(feature_std=[0.0] * 5),
+            lambda h: h["normalizer"].update(feature_mean=[0.0] * 3, feature_std=[1.0] * 3),
+        ],
+        ids=["missing", "null", "no-std", "zero-std", "wrong-length"],
+    )
+    def test_predict_model_header_without_valid_normalizer_exits_1(self, workdir, capsys, edit):
+        self._untrained_predict_inputs(workdir)
+        self._rewrite_model_header(workdir / "model.fsmlp", edit)
+        assert self._predict(workdir) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "BadMagic"
+        assert "model.fsmlp" in payload["message"]
+
+    @pytest.mark.parametrize("flag", ["--meta-set", "--probe", "--calib", "--charges"])
+    def test_missing_jsonl_input_exits_1(self, workdir, capsys, flag):
+        self._untrained_predict_inputs(workdir)
+        d, missing = workdir, workdir / "absent.jsonl"
+        argv = {
+            "--meta-set": ["train", "--meta-set", missing, "--out", d / "m.fsmlp"],
+            "--probe": ["adapt", "--init", d / "model.fsmlp", "--probe", missing,
+                        "--out", d / "a.fsmlp"],
+            "--calib": ["predict", "--model", d / "model.fsmlp", "--source", d / "src.fsemb",
+                        "--target", d / "tgt.fsemb", "--calib", missing,
+                        "--out", d / "report.json"],
+            "--charges": ["budget", "ledger", "--charges", missing, "--out", d / "snap.json"],
+        }[flag]
+        assert cli(*argv) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload == {"error": "MissingFile", "message": str(missing)}
 
     def test_trained_model_beats_trivial_baseline(self, workdir):
         self.test_full_train_predict_flow(workdir)
@@ -244,6 +283,28 @@ class TestCliWorkflow:
         assert snap["accepted_charges"] == 2
         assert [r["error"] for r in snap["rejected_charges"]] == ["CapExceeded", "CapExceeded"]
         assert snap["per_database"]["a"] == {"gen": 160, "val": 160, "exec": 0}
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            '{"db_id": "a", ',
+            '{"kind": "gen", "count": 1}',
+            '{"db_id": "a", "count": 1}',
+            '{"db_id": "a", "kind": "gen"}',
+            '{"db_id": "a", "kind": "gen", "count": "many"}',
+            '{"db_id": "a", "kind": "spend", "count": 1}',
+            '["a", "gen", 1]',
+        ],
+        ids=["not-json", "no-db_id", "no-kind", "no-count", "bad-count", "bad-kind", "not-an-object"],
+    )
+    def test_budget_ledger_bad_line_exits_1(self, workdir, capsys, bad):
+        charges = workdir / "charges.jsonl"
+        charges.write_text(json.dumps({"db_id": "a", "kind": "gen", "count": 1}) + "\n" + bad + "\n")
+        assert cli("budget", "ledger", "--charges", charges, "--out", workdir / "snap.json") == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "ParseError"
+        assert "charges.jsonl, line 2" in payload["message"]
+        assert not (workdir / "snap.json").exists()
 
     def test_bench_swd_outputs(self, workdir):
         assert cli("bench", "swd", "--sizes", "150,150,6", "--slices", "2,4",

@@ -191,6 +191,66 @@ class TestPcaDirections:
             pca_directions(data, 5, seed=0)
 
 
+class TestRangeFinder:
+    """``_principal_directions`` against the exact SVD subspace."""
+
+    @staticmethod
+    def run(x, k, seed):
+        x = x - x.mean(axis=0)
+        dirs, effective = descriptors._principal_directions(
+            x.copy(), k, descriptors.PCA_OVERSAMPLE, descriptors.PCA_POWER_ITERS,
+            np.random.default_rng(seed),
+        )
+        assert dirs.shape == (k, x.shape[1])
+        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
+        for row in dirs[:effective]:
+            assert row[np.argmax(np.abs(row))] > 0
+        return x, dirs, effective
+
+    @staticmethod
+    def expected_pads(seed, dim, width, count):
+        """The pads come from the same stream right after the sketch draw,
+        normalized once as drawn and once with the whole basis."""
+        rng = np.random.default_rng(seed)
+        rng.standard_normal((dim, width))
+        pad = rng.standard_normal((count, dim))
+        pad /= np.linalg.norm(pad, axis=1, keepdims=True)
+        return pad / np.linalg.norm(pad, axis=1, keepdims=True)
+
+    def test_well_conditioned_cloud(self):
+        rng = np.random.default_rng(3)
+        scales = np.r_[np.linspace(10.0, 3.0, 8), np.full(24, 0.1)]
+        x, dirs, effective = self.run(rng.standard_normal((512, 32)) * scales, 8, seed=5)
+        assert effective == 8
+        exact = exact_principal_directions(x, 8)
+        assert subspace_angle(dirs, exact) <= 1e-6
+        # Distinct singular values: each direction matches its own, up to sign.
+        assert np.allclose(np.abs(np.sum(dirs * exact, axis=1)), 1.0, rtol=0.0, atol=1e-9)
+
+    def test_exactly_collinear_sketch(self):
+        # Every row is a multiple of v, so every sketch column is a multiple
+        # of the same vector and the sketch's Gram matrix is singular.
+        v = np.array([3.0, 4.0, 0.0, 0.0, 0.0, 12.0]) / 13.0
+        x, dirs, effective = self.run(np.outer(np.arange(40.0), v), 3, seed=6)
+        assert effective == 1
+        assert subspace_angle(dirs[:1], v[None, :]) <= 1e-12
+        width = min(3 + descriptors.PCA_OVERSAMPLE, 6)
+        assert np.array_equal(dirs[1:], self.expected_pads(6, 6, width, 2))
+
+    def test_rank_deficient_cloud(self):
+        # Small integers keep the rank-3 cloud exact in float32 as well.
+        rng = np.random.default_rng(4)
+        cloud = (rng.integers(-3, 4, (200, 3)) @ rng.integers(-3, 4, (3, 12))).astype(np.float64)
+        x, dirs, effective = self.run(cloud, 5, seed=7)
+        assert effective == 3
+        assert subspace_angle(dirs[:3], exact_principal_directions(x, 3)) <= 1e-6
+        width = min(5 + descriptors.PCA_OVERSAMPLE, 12)
+        assert np.array_equal(dirs[3:], self.expected_pads(7, 12, width, 2))
+        basis = pca_directions(EmbeddingSet(data=cloud.astype(np.float32)), 5, seed=7)
+        assert basis.rank_deficient
+        assert basis.provenance == ("pca",) * 3 + ("random",) * 2
+
+
 class TestSlicedW2:
     def test_identical_sets_zero(self):
         a = gaussian_set(50, 4, seed=3)

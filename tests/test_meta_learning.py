@@ -12,7 +12,7 @@ from driftgauge import (
     reptile_outer,
 )
 from driftgauge.errors import EmptyProbe, InsufficientTasks, ShapeMismatch
-from driftgauge.evaluator import loss_and_grad, zeros_like
+from driftgauge.evaluator import MLPParams, loss_and_grad, zeros_like
 from driftgauge.meta_learning import _gd_steps
 from helpers import synthetic_instances
 
@@ -68,6 +68,45 @@ class TestInnerAdapt:
         _, grads = loss_and_grad(theta, norm.apply(feats), labels, train_mode=False)
         for got, w, g in zip(out.tensors(), theta.tensors(), grads.tensors(), strict=True):
             assert np.array_equal(got, w - 0.03 * g)
+
+
+def plain_gd(theta, norm, instances, alpha, steps):
+    """Reference inner loop: w - alpha * g into fresh arrays every step."""
+    feats = np.stack([i.delta.features() for i in instances])
+    labels = np.array([i.accuracy for i in instances])
+    x = norm.apply(feats)
+    for _ in range(steps):
+        _, grads = loss_and_grad(theta, x, labels, train_mode=False)
+        theta = MLPParams.from_flat(theta.layer_dims, theta.flat - alpha * grads.flat)
+    return theta
+
+
+class TestGdStepsInPlace:
+    """The inner step is written into the gradient buffer; the result must
+    equal the plain loop bit for bit and leave the caller's theta alone."""
+
+    @pytest.mark.parametrize("steps", [3, 5])
+    def test_gd_steps_and_adapt_match_plain_loop(self, steps):
+        insts = synthetic_instances(10, seed=40 + steps)
+        norm = norm_for(insts)
+        theta = init_mlp(5, seed=41)
+        before = theta.flat.tobytes()
+        alpha = 0.07
+        expect = plain_gd(theta, norm, insts, alpha, steps)
+
+        out = _gd_steps(theta, norm, insts, alpha, steps)
+        cfg = ReptileConfig(inner_lr=alpha, inner_steps=steps, seed=0)
+        adapted = adapt_to_model(theta, norm, insts, cfg)
+
+        assert np.array_equal(out.flat, expect.flat)
+        assert np.array_equal(adapted.flat, expect.flat)
+        for got in (out, adapted):
+            assert not np.shares_memory(got.flat, theta.flat)
+            for view, ref in zip(got.tensors(), expect.tensors(), strict=True):
+                assert np.shares_memory(view, got.flat) and np.array_equal(view, ref)
+        assert theta.flat.tobytes() == before
+        task = MetaTask(task_id="t", instances=insts)
+        assert inner_adapt(theta, norm, task, alpha, steps=0) is theta
 
 
 class TestReptileOuter:

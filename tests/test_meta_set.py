@@ -15,7 +15,13 @@ from driftgauge import (
     save_meta_set,
     worst_case_bound,
 )
-from driftgauge.errors import BudgetExhausted, CapExceeded, InvalidBounds, ParseError
+from driftgauge.errors import (
+    BudgetExhausted,
+    CapExceeded,
+    InvalidBounds,
+    MissingFile,
+    ParseError,
+)
 
 PAPER_COSTS = dict(c_gen=0.00012, c_val=0.00003, c_exec=0.0004)
 
@@ -229,3 +235,13 @@ class TestMetaSetFile:
         path.write_text(self._good_line() + "\n\n" + bad + "\n")
         with pytest.raises(ParseError, match=r"meta\.jsonl, line 3"):
             load_meta_set(path)
+
+    def test_undecodable_bytes_are_parse_error(self, tmp_path):
+        path = tmp_path / "meta.jsonl"
+        path.write_bytes(self._good_line().encode() + b"\n\xff\xfe{}\n")
+        with pytest.raises(ParseError, match=r"meta\.jsonl: not UTF-8 text"):
+            load_meta_set(path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(MissingFile, match="absent"):
+            load_meta_set(tmp_path / "absent.jsonl")
