@@ -28,10 +28,10 @@ for i, spec in enumerate(shift_family(base, [0.0, 0.5, 1.0, 2.0, 4.0])):
     v_h = hybrid_swd(source, target, cfg_hybrid)
     print(f"{spec.mean[0]:6.1f} {v_r:15.4f} {v_h:13.4f}")
 
-# timing on one pair; repeated calls reuse the cached slice basis
+# timing on one pair; repeated calls reuse the slice basis memoized on the target
 target = gen_gaussian_workload(shift_family(base, [2.0])[0], seed=103)
 for label, cfg in [("all-random(64)", cfg_random), ("hybrid(8,16)", cfg_hybrid)]:
-    hybrid_swd(source, target, cfg)  # warmup + basis cache
+    hybrid_swd(source, target, cfg)  # warmup; memoizes the basis on the target
     times = []
     for _ in range(11):
         t0 = time.perf_counter()

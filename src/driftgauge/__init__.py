@@ -35,7 +35,6 @@ from .evaluator import (
     TrainReport,
     adamw_step,
     cosine_lr,
-    forward,
     init_mlp,
     load_model,
     loss_and_grad,

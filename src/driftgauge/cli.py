@@ -21,13 +21,14 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, load_run_config
 from .descriptors import NUM_FEATURES, compute_delta
-from .errors import ConfigMismatch, DriftGaugeError, ParseError
+from .errors import ConfigMismatch, DriftGaugeError, MissingFile, ParseError
 from .evaluator import load_model, predict, save_model, train
 from .meta_learning import MetaTask, adapt_to_model, meta_train
 from .meta_set import (
     BudgetLedger,
     MetaInstance,
     jsonl_records,
+    line_records,
     load_meta_set,
     plan_budget,
     save_meta_set,
@@ -151,6 +152,14 @@ def _cmd_predict(args) -> int:
     return 0
 
 
+def _files_in(directory: str, suffix: str) -> list[str]:
+    """Sorted paths of the files in ``directory`` ending in ``suffix``; a
+    missing directory is MissingFile."""
+    if not os.path.isdir(directory):
+        raise MissingFile(directory)
+    return sorted(os.path.join(directory, f) for f in os.listdir(directory) if f.endswith(suffix))
+
+
 def _group_tasks(instances: list[MetaInstance]) -> list[MetaTask]:
     by_id: dict[str, list[MetaInstance]] = {}
     for inst in instances:
@@ -160,9 +169,7 @@ def _group_tasks(instances: list[MetaInstance]) -> list[MetaTask]:
 
 def _cmd_meta_train(args) -> int:
     rc = _config_from(args)
-    files = sorted(
-        os.path.join(args.tasks, f) for f in os.listdir(args.tasks) if f.endswith(".jsonl")
-    )
+    files = _files_in(args.tasks, ".jsonl")
     if not files:
         raise ParseError(f"no .jsonl task files in {args.tasks}")
     instances = [inst for f in files for inst in load_meta_set(f)]
@@ -262,13 +269,21 @@ def _cmd_budget_ledger(args) -> int:
     return 0
 
 
+def _ints(raw: str, what: str) -> list[int]:
+    """The integers of a comma-separated list; a bad entry is a ParseError."""
+    try:
+        return [int(p) for p in raw.split(",") if p]
+    except ValueError as exc:
+        raise ParseError(f"{what} {raw!r}: {exc}") from exc
+
+
 def _parse_sizes(raw: str) -> list[tuple[int, int, int]]:
     sizes = []
     for chunk in raw.split(";"):
-        parts = [p for p in chunk.strip().split(",") if p]
+        parts = _ints(chunk.strip(), "--sizes chunk")
         if len(parts) != 3:
             raise ParseError(f"--sizes chunk {chunk!r}: expected n,m,D")
-        sizes.append(tuple(int(p) for p in parts))
+        sizes.append(tuple(parts))
     return sizes
 
 
@@ -276,7 +291,7 @@ def _cmd_bench_swd(args) -> int:
     rc = _config_from(args)
     result = bench_swd(
         sizes=_parse_sizes(args.sizes),
-        slice_counts=[int(s) for s in args.slices.split(",") if s],
+        slice_counts=_ints(args.slices, "--slices"),
         mode=args.mode,
         trials=args.trials,
         seed=spawn_seed(rc.seed, 14),
@@ -340,11 +355,7 @@ def _cmd_synth_label(args) -> int:
     rc = _config_from(args)
     train_set = load_embedding_set(args.train)
     if args.samples_dir:
-        sample_paths = sorted(
-            os.path.join(args.samples_dir, f)
-            for f in os.listdir(args.samples_dir)
-            if f.endswith(".fsemb")
-        )
+        sample_paths = _files_in(args.samples_dir, ".fsemb")
     else:
         sample_paths = [p for p in args.samples.split(";") if p]
     if not sample_paths:
@@ -371,14 +382,15 @@ def _cmd_synth_label(args) -> int:
     return 0
 
 
-def _read_lines(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh if line.strip()]
+def _read_lines(path: str, parse=str) -> list:
+    """``parse`` of every non-blank line, newline stripped; see
+    :func:`line_records` for the typed failures."""
+    return [value for _, value in line_records(path, parse)]
 
 
 def _cmd_metrics_mae(args) -> int:
-    pred = [float(v) for v in _read_lines(args.pred)]
-    gold = [float(v) for v in _read_lines(args.gold)]
+    pred = _read_lines(args.pred, float)
+    gold = _read_lines(args.gold, float)
     value = mae(pred, gold)
     payload = {"mae": value, "n": len(pred)}
     print(json.dumps(payload, sort_keys=True))

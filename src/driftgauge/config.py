@@ -24,7 +24,8 @@ from .workload import DEFAULT_VARIANCE_FLOOR
 
 SEED_ENV_VAR = "DRIFTGAUGE_SEED"
 
-# section -> key -> (type, default)
+# section -> key -> (type, default).  The keys of the swd, train and reptile
+# sections are field names of SWDConfig, TrainConfig and ReptileConfig.
 _SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
     "run": {
         "seed": (int, 0),
@@ -136,40 +137,13 @@ class RunConfig:
             for key, default in _ALL_RANDOM_DEFAULTS.items():
                 if f"swd.{key}" not in self.explicit:
                     swd[key] = default
-        return SWDConfig(
-            mode=swd["mode"],
-            k_pca=swd["k_pca"],
-            l_random=swd["l_random"],
-            quantiles=swd["quantiles"],
-            pca_subsample=swd["pca_subsample"],
-            seed=spawn_seed(self.seed, 11),
-        )
+        return SWDConfig(**swd, seed=spawn_seed(self.seed, 11))
 
     def train_config(self) -> TrainConfig:
-        t = self.values["train"]
-        return TrainConfig(
-            batch_size=t["batch_size"],
-            lr0=t["lr0"],
-            eta_min=t["eta_min"],
-            beta1=t["beta1"],
-            beta2=t["beta2"],
-            weight_decay=t["weight_decay"],
-            max_epochs=t["max_epochs"],
-            dropout=t["dropout"],
-            patience=t["patience"],
-            val_fraction=t["val_fraction"],
-            seed=spawn_seed(self.seed, 12),
-        )
+        return TrainConfig(**self.values["train"], seed=spawn_seed(self.seed, 12))
 
     def reptile_config(self) -> ReptileConfig:
-        r = self.values["reptile"]
-        return ReptileConfig(
-            inner_lr=r["inner_lr"],
-            outer_step=r["outer_step"],
-            inner_steps=r["inner_steps"],
-            meta_rounds=r["meta_rounds"],
-            seed=spawn_seed(self.seed, 13),
-        )
+        return ReptileConfig(**self.values["reptile"], seed=spawn_seed(self.seed, 13))
 
     def cost_model(self) -> CostModel:
         b = self.values["budget"]

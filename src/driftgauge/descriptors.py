@@ -84,15 +84,7 @@ class SWDConfig:
     def digest(self, variance_floor: float = DEFAULT_VARIANCE_FLOOR) -> str:
         """Hex digest of the canonical JSON of this config plus the floor."""
         blob = json.dumps(
-            {
-                "mode": self.mode,
-                "l_random": self.l_random,
-                "k_pca": self.k_pca,
-                "quantiles": self.quantiles,
-                "pca_subsample": self.pca_subsample,
-                "seed": self.seed,
-                "variance_floor": variance_floor,
-            },
+            {**self.to_dict(), "variance_floor": variance_floor},
             sort_keys=True,
             separators=(",", ":"),
         )
@@ -146,14 +138,6 @@ class ProjectionBasis:
     @property
     def dim(self) -> int:
         return self.directions.shape[1]
-
-    def stacked_with(self, other: "ProjectionBasis") -> "ProjectionBasis":
-        check_same_dim(self.dim, other.dim, "basis dims")
-        return ProjectionBasis(
-            directions=np.vstack([self.directions, other.directions]),
-            provenance=self.provenance + other.provenance,
-            rank_deficient=self.rank_deficient or other.rank_deficient,
-        )
 
 
 @dataclass(frozen=True)
@@ -232,30 +216,32 @@ def mahalanobis_descriptor(ms_src: MomentSummary, target: EmbeddingSet) -> tuple
     return float(radii.mean()), float(radii.std())
 
 
+def _unit_rows(num: int, dim: int, seed: int) -> np.ndarray:
+    """``num`` normalized Gaussian rows; ``num`` may be zero."""
+    raw = rng_for(seed).standard_normal((num, dim))
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+
 def random_directions(num: int, dim: int, seed: int) -> ProjectionBasis:
     """``num`` unit directions, uniform on the sphere (normalized Gaussians)."""
     if num < 1 or dim < 1:
         raise ValueError("num and dim must be positive")
-    raw = rng_for(seed).standard_normal((num, dim))
-    dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    return ProjectionBasis(directions=dirs, provenance=("random",) * num)
+    return ProjectionBasis(directions=_unit_rows(num, dim, seed), provenance=("random",) * num)
 
 
-def _principal_directions(
-    x: np.ndarray, k: int, oversample: int, power_iters: int, rng: np.random.Generator
-) -> tuple[np.ndarray, int]:
+def _principal_directions(x: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """Range-finder core on a raw (already centered) float64 matrix.
 
     Returns (directions, effective_rank); rows past the effective rank are
     random unit pads.  Power iterations rescale columns instead of
     re-orthonormalizing; one Householder QR of the sketch before the
-    projection step restores the basis, which is ample at the default two
+    projection step restores the basis, which is ample at the two power
     iterations, and stays orthonormal when sketch columns are dependent.
     """
     n, dim = x.shape
-    width = min(k + max(oversample, 0), min(n, dim))
+    width = min(k + PCA_OVERSAMPLE, min(n, dim))
     y = x @ rng.standard_normal((dim, width))
-    for _ in range(max(power_iters, 0)):
+    for _ in range(PCA_POWER_ITERS):
         y /= np.maximum(np.linalg.norm(y, axis=0, keepdims=True), 1e-300)
         y = x @ (x.T @ y)
     q, _ = np.linalg.qr(y)
@@ -280,13 +266,24 @@ def _principal_directions(
     return dirs, effective
 
 
-def pca_directions(
-    joint: EmbeddingSet,
-    k: int,
-    oversample: int = PCA_OVERSAMPLE,
-    power_iters: int = PCA_POWER_ITERS,
-    seed: int = 0,
+def _pca_basis(
+    x: np.ndarray, k_pca: int, rng: np.random.Generator, randoms: tuple[np.ndarray, ...] = ()
 ) -> ProjectionBasis:
+    """The basis for centered float64 rows ``x``: the range finder's top
+    ``min(k_pca, *x.shape)`` principal directions, then the rows of each
+    array in ``randoms``.  Every direction past the effective rank is tagged
+    random, and the basis is ``rank_deficient`` when fewer than ``k_pca``
+    directions are principal."""
+    dirs, effective = _principal_directions(x, min(k_pca, *x.shape), rng)
+    dirs = np.vstack([dirs, *randoms])
+    return ProjectionBasis(
+        directions=dirs,
+        provenance=("pca",) * effective + ("random",) * (dirs.shape[0] - effective),
+        rank_deficient=effective < k_pca,
+    )
+
+
+def pca_directions(joint: EmbeddingSet, k: int, seed: int = 0) -> ProjectionBasis:
     """Top-k principal directions of the centered joint cloud, via a
     randomized range finder with oversampling and power iterations.
 
@@ -298,11 +295,7 @@ def pca_directions(
         raise ValueError(f"k must satisfy 1 <= k <= min(n, D) = {min(n, dim)}")
     x = joint.data.astype(np.float64)
     x -= x.mean(axis=0)
-    dirs, effective = _principal_directions(x, k, oversample, power_iters, rng_for(seed))
-    provenance = ("pca",) * effective + ("random",) * (k - effective)
-    return ProjectionBasis(
-        directions=dirs, provenance=provenance, rank_deficient=effective < k
-    )
+    return _pca_basis(x, k, rng_for(seed))
 
 
 def _sorted_projections(data: np.ndarray, directions: np.ndarray) -> np.ndarray:
@@ -387,25 +380,11 @@ def build_basis(src: EmbeddingSet, tgt: EmbeddingSet, cfg: SWDConfig) -> Project
     in_first = idx < first.n
     rows[in_first] = first.data[idx[in_first]]
     rows[~in_first] = second.data[idx[~in_first] - first.n]
-    k = min(cfg.k_pca, take, dim)
     rows -= rows.mean(axis=0)
-    dirs, effective = _principal_directions(
-        rows, k, PCA_OVERSAMPLE, PCA_POWER_ITERS, rng_for(spawn_seed(cfg.seed, 2))
-    )
-    basis = ProjectionBasis(
-        directions=dirs,
-        provenance=("pca",) * effective + ("random",) * (k - effective),
-        rank_deficient=effective < k,
-    )
-    if k < cfg.k_pca:
-        # Joint cloud too small for the requested k; top up with random slices.
-        basis = basis.stacked_with(
-            random_directions(cfg.k_pca - k, dim, spawn_seed(cfg.seed, 4))
-        )
-        basis = ProjectionBasis(basis.directions, basis.provenance, rank_deficient=True)
-    if cfg.l_random:
-        basis = basis.stacked_with(random_directions(cfg.l_random, dim, spawn_seed(cfg.seed, 3)))
-    return basis
+    # A joint cloud too small for k_pca is topped up with random slices.
+    top_up = _unit_rows(cfg.k_pca - min(cfg.k_pca, take, dim), dim, spawn_seed(cfg.seed, 4))
+    tail = _unit_rows(cfg.l_random, dim, spawn_seed(cfg.seed, 3))
+    return _pca_basis(rows, cfg.k_pca, rng_for(spawn_seed(cfg.seed, 2)), (top_up, tail))
 
 
 def _bytes_greater(a: np.ndarray, b: np.ndarray) -> bool:
@@ -423,33 +402,24 @@ def _bytes_greater(a: np.ndarray, b: np.ndarray) -> bool:
     return False
 
 
-# Basis reuse across repeated evaluations of the same pair: embedding data is
-# immutable, so a basis keyed on the exact config and data objects stays
-# valid.  Strong references keep ids stable; the FIFO cap bounds memory.
-_BASIS_CACHE: dict = {}
-_BASIS_CACHE_CAP = 8
-
-
-def _cached_basis(src: EmbeddingSet, tgt: EmbeddingSet, cfg: SWDConfig) -> ProjectionBasis:
-    key = (id(src.data), id(tgt.data), cfg)
-    hit = _BASIS_CACHE.get(key)
-    if hit is not None and hit[0] is src.data and hit[1] is tgt.data:
-        return hit[2]
-    basis = build_basis(src, tgt, cfg)
-    _BASIS_CACHE[key] = (src.data, tgt.data, basis)
-    while len(_BASIS_CACHE) > _BASIS_CACHE_CAP:
-        _BASIS_CACHE.pop(next(iter(_BASIS_CACHE)))
-    return basis
-
-
 def hybrid_swd(src: EmbeddingSet, tgt: EmbeddingSet, cfg: SWDConfig) -> float:
     """Sliced W2 between the two sets under the configured slice scheme.
 
     The hybrid basis depends on the target as well as the source, so each
-    new batch builds its own.  The basis is cached only for repeated calls
-    on the very same (source, target, config) objects.
+    new batch builds its own.  The basis is memoized on the target set, one
+    per config, and reused while the source is the very same data array;
+    the memo goes when the target does.
     """
-    basis = _cached_basis(src, tgt, cfg)
+    # Same memo contract as ``moments``: the instance dict, outside the
+    # dataclass fields.  Holding the source array, not the source set, keeps
+    # ``hybrid_swd(a, a, cfg)`` free of a reference cycle.
+    memo = tgt.__dict__.setdefault("_bases", {})
+    hit = memo.get(cfg)
+    if hit is not None and hit[0] is src.data:
+        basis = hit[1]
+    else:
+        basis = build_basis(src, tgt, cfg)
+        memo[cfg] = (src.data, basis)
     return sliced_w2(src, tgt, basis, cfg.quantiles)
 
 

@@ -164,28 +164,6 @@ def _forward(params: MLPParams, x: np.ndarray, masks, rate: float, want_caches: 
     return preds, a, caches
 
 
-def forward(
-    params: MLPParams,
-    x: np.ndarray,
-    train_mode: bool = False,
-    dropout_seed: int = 0,
-    dropout: float = 0.2,
-) -> float:
-    """Run one (already normalized) feature vector through the network.
-
-    Inference mode is deterministic; train mode applies inverted dropout with
-    the mask fixed by ``dropout_seed``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != params.input_dim:
-        raise ShapeMismatch(f"expected a length-{params.input_dim} vector, got {x.shape}")
-    masks = None
-    if train_mode and dropout > 0:
-        masks = dropout_masks(params.layer_dims, 1, dropout_seed, dropout)
-    preds, _, _ = _forward(params, x[None, :], masks, dropout, want_caches=False)
-    return float(preds[0])
-
-
 def loss_and_grad(
     params: MLPParams,
     x: np.ndarray,

@@ -294,12 +294,11 @@ def save_meta_set(instances, path: str | os.PathLike) -> None:
     _atomic_write(os.fspath(path), lines.encode("utf-8"))
 
 
-def jsonl_records(path: str | os.PathLike, parse):
-    """Yield ``(line_number, parse(obj))`` for the JSON value on every
-    non-blank line, in file order.  A missing file is MissingFile; text that
-    is not UTF-8, a line that is not JSON, or one whose value ``parse``
-    rejects with ValueError, KeyError or TypeError is a ParseError naming the
-    file (and the line)."""
+def line_records(path: str | os.PathLike, parse):
+    """Yield ``(line_number, parse(line))`` for every non-blank line, newline
+    stripped, in file order.  A missing file is MissingFile; text that is not
+    UTF-8, or a line that ``parse`` rejects with ValueError, KeyError or
+    TypeError, is a ParseError naming the file (and the line)."""
     path = os.fspath(path)
     if not os.path.isfile(path):
         raise MissingFile(path)
@@ -309,12 +308,18 @@ def jsonl_records(path: str | os.PathLike, parse):
                 if not line.strip():
                     continue
                 try:
-                    record = parse(json.loads(line))
+                    record = parse(line.rstrip("\n"))
                 except (ValueError, KeyError, TypeError) as exc:
                     raise ParseError(f"{path}, line {lineno}: {exc!r}") from exc
                 yield lineno, record
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def jsonl_records(path: str | os.PathLike, parse):
+    """:func:`line_records` of ``parse`` on the JSON value of each line; a
+    line that is not JSON is a ParseError as well."""
+    return line_records(path, lambda line: parse(json.loads(line)))
 
 
 def load_meta_set(path: str | os.PathLike) -> list[MetaInstance]:

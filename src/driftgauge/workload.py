@@ -88,12 +88,13 @@ class EmbeddingSet:
 
     Immutable after construction; safe for concurrent reads.  ``moments``
     memoizes its summary on the set, one per variance floor, so a source
-    kept resident across many targets pays for its moments once.  The memo
-    is safe for concurrent reads as well: two threads may both compute a
-    missing summary, but the first one stored is returned to both.
+    kept resident across many targets pays for its moments once; and
+    ``hybrid_swd`` memoizes the slice basis on the target set, per config
+    and source array.  The memos are safe for concurrent reads as well: two
+    threads may both compute a missing entry, and both get equal values.
     A C-contiguous float32 ``data`` array is not copied, only made read-only;
     the caller must not write to it after construction (say, after setting
-    the write flag again): the moments memo and ``_BASIS_CACHE`` trust it.
+    the write flag again): both memos trust it.
     """
 
     data: np.ndarray

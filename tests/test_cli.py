@@ -342,6 +342,45 @@ class TestCliWorkflow:
         assert code == 1
         assert json.loads(capsys.readouterr().err.strip())["error"] == "MissingFile"
 
+    @pytest.mark.parametrize(
+        "argv, error, detail",
+        [
+            (["metrics", "mae", "--pred", "{d}/absent", "--gold", "{d}/g.txt"],
+             "MissingFile", "{d}/absent"),
+            (["metrics", "mae", "--pred", "{d}/p.txt", "--gold", "{d}/absent"],
+             "MissingFile", "{d}/absent"),
+            (["metrics", "em", "--pred", "{d}/absent", "--gold", "{d}/g.txt"],
+             "MissingFile", "{d}/absent"),
+            (["metrics", "em", "--pred", "{d}/p.txt", "--gold", "{d}/absent"],
+             "MissingFile", "{d}/absent"),
+            (["metrics", "mae", "--pred", "{d}/p.txt", "--gold", "{d}/bad.txt"],
+             "ParseError", "{d}/bad.txt, line 3"),
+            (["meta-train", "--tasks", "{d}/absent", "--out", "{d}/m.fsmlp"],
+             "MissingFile", "{d}/absent"),
+            (["synth", "label", "--train", "{d}/src.fsemb", "--samples-dir", "{d}/absent",
+              "--out", "{d}/meta.jsonl"], "MissingFile", "{d}/absent"),
+            (["bench", "swd", "--sizes", "150,x,6", "--slices", "2"],
+             "ParseError", "--sizes chunk '150,x,6'"),
+            (["bench", "swd", "--sizes", "150,150,6", "--slices", "2,4.5"],
+             "ParseError", "--slices '2,4.5'"),
+        ],
+        ids=["mae-no-pred", "mae-no-gold", "em-no-pred", "em-no-gold", "mae-not-a-number",
+             "meta-train-no-tasks-dir", "synth-label-no-samples-dir", "bench-bad-sizes",
+             "bench-bad-slices"],
+    )
+    def test_bad_boundary_input_exits_1(self, workdir, capsys, argv, error, detail):
+        self._gen_inputs(workdir)
+        (workdir / "p.txt").write_text("0.5\n0.7\n")
+        (workdir / "g.txt").write_text("0.5\n0.3\n")
+        (workdir / "bad.txt").write_text("0.5\n\nhigh\n")
+        capsys.readouterr()
+        assert cli(*(a.format(d=workdir) for a in argv)) == 1
+        captured = capsys.readouterr()
+        payload = json.loads(captured.err.strip())
+        assert payload["error"] == error
+        assert detail.format(d=workdir) in payload["message"]
+        assert captured.out == ""
+
     def test_inputs_not_mutated(self, workdir):
         self._gen_inputs(workdir)
         before = (workdir / "src.fsemb").read_bytes()

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -64,6 +65,19 @@ class TestSWDConfig:
         assert a.digest(1e-8) != a.digest(1e-6)
         assert a.digest() != SWDConfig(seed=2).digest()
         assert a.digest() == SWDConfig(seed=1).digest()
+
+    @pytest.mark.parametrize(
+        "cfg, floor, hexdigest",
+        [
+            (SWDConfig(), 1e-8, "000c79c4ceac3caeacf127a42e0b767403fd95f4e37aec10135b4308e22af839"),
+            (SWDConfig(), 1e-6, "8d1348de31bdc1396fa5ac9b4e2c5e8b5dc0b40f3076bb9de0b87b6c36a3bed0"),
+            (SWDConfig.all_random(), 1e-8, "cf50206938774dc30f33654f91c4a81c2dc854f6c311204cbcc22d685b8e126f"),
+            (SWDConfig.all_random(), 1e-6, "1f4e76ef92d9077f7e61aa2812a78df01475346c8ee601ea345449b537fe2f16"),
+        ],
+    )
+    def test_digest_pinned(self, cfg, floor, hexdigest):
+        # Saved meta-sets and models carry these digests; they must not move.
+        assert cfg.digest(floor) == hexdigest
 
 
 class TestFrechet:
@@ -197,10 +211,7 @@ class TestRangeFinder:
     @staticmethod
     def run(x, k, seed):
         x = x - x.mean(axis=0)
-        dirs, effective = descriptors._principal_directions(
-            x.copy(), k, descriptors.PCA_OVERSAMPLE, descriptors.PCA_POWER_ITERS,
-            np.random.default_rng(seed),
-        )
+        dirs, effective = descriptors._principal_directions(x.copy(), k, np.random.default_rng(seed))
         assert dirs.shape == (k, x.shape[1])
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
         for row in dirs[:effective]:
@@ -394,6 +405,48 @@ class TestHybridSWD:
         b = es([[0.0, 0.0, 1.0], [5.0, 1.0, 2.0]])
         value = hybrid_swd(a, b, SWDConfig(k_pca=8, l_random=2, seed=3))
         assert np.isfinite(value) and value >= 0
+
+
+class TestBasisMemo:
+    """``hybrid_swd`` keeps its basis on the target set, per config and
+    source array."""
+
+    @pytest.mark.parametrize("same_set", [False, True])
+    def test_target_data_freed_after_scoring(self, same_set):
+        src = gaussian_set(400, 6, seed=70)
+        tgt = src if same_set else gaussian_set(300, 6, seed=71, mean=0.5)
+        data = weakref.ref(tgt.data)
+        compute_delta(src, tgt, SWDConfig(k_pca=3, l_random=4, seed=2))
+        del tgt, src
+        # Reference counting alone must free it: no cache, no cycle.
+        assert data() is None
+
+    def test_second_source_gets_its_own_basis(self):
+        first = gaussian_set(500, 6, seed=72)
+        second = gaussian_set(500, 6, seed=73, std=3.0)
+        tgt = gaussian_set(400, 6, seed=74, mean=0.5)
+        cfg = SWDConfig(k_pca=3, l_random=4, seed=5)
+        bases = [build_basis(s, tgt, cfg) for s in (first, second)]
+        assert not np.array_equal(bases[0].directions, bases[1].directions)
+        for src, basis in zip((first, second, first), bases + bases[:1]):
+            expected = sliced_w2(src, tgt, basis, cfg.quantiles)
+            assert hybrid_swd(src, tgt, cfg) == expected
+
+    def test_repeated_pair_builds_basis_once(self, monkeypatch):
+        calls = []
+
+        def counting(src, tgt, cfg):
+            calls.append(cfg)
+            return build_basis(src, tgt, cfg)
+
+        monkeypatch.setattr(descriptors, "build_basis", counting)
+        src = gaussian_set(500, 6, seed=75)
+        tgt = gaussian_set(400, 6, seed=76, mean=0.5)
+        hybrid, random = SWDConfig(k_pca=3, l_random=4, seed=6), SWDConfig.all_random(8, seed=6)
+        first = [hybrid_swd(src, tgt, cfg) for cfg in (hybrid, random)]
+        again = [hybrid_swd(src, tgt, cfg) for cfg in (hybrid, random)]
+        assert again == first
+        assert calls == [hybrid, random]
 
 
 class TestComputeDelta:

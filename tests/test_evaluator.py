@@ -7,10 +7,10 @@ import pytest
 
 from driftgauge import (
     MetaInstance,
+    ShiftDescriptor,
     TrainConfig,
     adamw_step,
     cosine_lr,
-    forward,
     init_mlp,
     load_model,
     loss_and_grad,
@@ -27,6 +27,7 @@ from driftgauge.evaluator import (
     Normalizer,
     TrainReport,
     _forward,
+    dropout_masks,
     zeros_like,
 )
 from helpers import (
@@ -62,34 +63,50 @@ class TestInitMlp:
 
 
 class TestForward:
+    """One feature vector through ``_forward``, in the inference layout
+    unless dropout is on; ``predict_many`` checks the input width."""
+
+    @staticmethod
+    def infer(p, x):
+        preds, _, _ = _forward(p, x[None, None, :], None, 0.0, want_caches=False)
+        return float(preds[0])
+
     def test_zero_params_give_zero(self):
         p = zeros_like(init_mlp(5, seed=0))
-        assert forward(p, np.ones(5)) == 0.0
+        assert self.infer(p, np.ones(5)) == 0.0
 
     def test_inference_deterministic(self):
         p = init_mlp(5, seed=3)
         x = np.random.default_rng(0).standard_normal(5)
-        assert forward(p, x) == forward(p, x)
+        assert self.infer(p, x) == self.infer(p, x)
 
     def test_matches_reference_implementation(self):
         rng = np.random.default_rng(4)
         p = init_mlp(5, seed=5).map(lambda t: t + 0.1 * rng.standard_normal(t.shape))
         x = rng.standard_normal(5)
         mse_like = reference_loss(p, x[None, :], np.zeros(1))
-        assert forward(p, x) ** 2 == pytest.approx(mse_like, rel=1e-9)
+        assert self.infer(p, x) ** 2 == pytest.approx(mse_like, rel=1e-9)
 
     def test_shape_mismatch(self):
-        p = init_mlp(5, seed=6)
+        p = init_mlp(4, seed=6)
+        norm = Normalizer(np.zeros(5), np.ones(5), "d")
+        delta = ShiftDescriptor(1.0, 1.0, 1.0, 1.0, 1.0, config_digest="d")
         with pytest.raises(ShapeMismatch):
-            forward(p, np.ones(4))
+            predict_many(p, norm, [delta])
 
     def test_train_mode_dropout_fixed_by_seed(self):
         rng = np.random.default_rng(7)
         p = init_mlp(5, seed=8).map(lambda t: t + 0.1 * rng.standard_normal(t.shape))
         x = rng.standard_normal(5)
-        a = forward(p, x, train_mode=True, dropout_seed=11)
-        b = forward(p, x, train_mode=True, dropout_seed=11)
-        c = forward(p, x, train_mode=True, dropout_seed=12)
+
+        def train_mode(dropout_seed):
+            masks = dropout_masks(p.layer_dims, 1, dropout_seed, 0.2)
+            preds, _, _ = _forward(p, x[None, :], masks, 0.2, want_caches=False)
+            return float(preds[0])
+
+        a = train_mode(11)
+        b = train_mode(11)
+        c = train_mode(12)
         assert a == b
         assert a != c
 
