@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, load_run_config
 from .descriptors import NUM_FEATURES, compute_delta
-from .errors import ConfigMismatch, DriftGaugeError, MissingFile, ParseError
+from .errors import ConfigMismatch, DriftGaugeError, InvalidValue, MissingFile, ParseError
 from .evaluator import load_model, predict, save_model, train
 from .meta_learning import MetaTask, adapt_to_model, meta_train
 from .meta_set import (
@@ -269,33 +269,52 @@ def _cmd_budget_ledger(args) -> int:
     return 0
 
 
-def _ints(raw: str, what: str) -> list[int]:
-    """The integers of a comma-separated list; a bad entry is a ParseError."""
+def _numbers(raw: str, what: str, kind=int) -> list:
+    """The entries of a comma-separated list; a bad entry or an empty list
+    is a ParseError."""
     try:
-        return [int(p) for p in raw.split(",") if p]
+        values = [kind(p) for p in raw.split(",") if p]
     except ValueError as exc:
         raise ParseError(f"{what} {raw!r}: {exc}") from exc
+    if not values:
+        raise ParseError(f"{what} {raw!r}: no entries")
+    return values
+
+
+def _require_positive(what: str, *values) -> None:
+    """InvalidValue at the first value that is not positive (NaN is not)."""
+    for value in values:
+        if not value > 0:
+            raise InvalidValue(f"{what} must be positive, got {value}")
 
 
 def _parse_sizes(raw: str) -> list[tuple[int, int, int]]:
     sizes = []
     for chunk in raw.split(";"):
-        parts = _ints(chunk.strip(), "--sizes chunk")
+        parts = _numbers(chunk.strip(), "--sizes chunk")
         if len(parts) != 3:
             raise ParseError(f"--sizes chunk {chunk!r}: expected n,m,D")
+        _require_positive(f"--sizes chunk {chunk!r}: every entry", *parts)
         sizes.append(tuple(parts))
     return sizes
 
 
 def _cmd_bench_swd(args) -> int:
     rc = _config_from(args)
+    sizes = _parse_sizes(args.sizes)
+    slice_counts = _numbers(args.slices, "--slices")
+    _require_positive("--trials", args.trials)
+    _require_positive("--slices: every entry", *slice_counts)
+    k_pca = rc.get("swd", "k_pca")
+    if args.mode == "hybrid" and min(slice_counts) <= k_pca:
+        raise InvalidValue(f"--slices: hybrid mode needs more than k_pca={k_pca} slices")
     result = bench_swd(
-        sizes=_parse_sizes(args.sizes),
-        slice_counts=_ints(args.slices, "--slices"),
+        sizes=sizes,
+        slice_counts=slice_counts,
         mode=args.mode,
         trials=args.trials,
         seed=spawn_seed(rc.seed, 14),
-        k_pca=rc.get("swd", "k_pca"),
+        k_pca=k_pca,
         quantiles=rc.get("swd", "quantiles"),
     )
     if args.out_csv:
@@ -308,6 +327,9 @@ def _cmd_bench_swd(args) -> int:
 
 
 def _synth_spec(args, shift: float) -> GaussianWorkloadSpec:
+    _require_positive("--dim", args.dim)
+    _require_positive("--count", args.count)
+    _require_positive("--stddev", args.stddev)
     mean = np.zeros(args.dim)
     mean[0] = shift
     return GaussianWorkloadSpec(
@@ -338,7 +360,9 @@ def _cmd_synth_gen(args) -> int:
 
 def _cmd_synth_family(args) -> int:
     rc = _config_from(args)
-    shifts = [float(s) for s in args.shifts.split(",") if s]
+    shifts = _numbers(args.shifts, "--shifts", float)
+    if shifts != sorted(shifts):
+        raise InvalidValue(f"--shifts must be ascending, got {args.shifts!r}")
     base = _synth_spec(args, 0.0)
     os.makedirs(args.out_dir, exist_ok=True)
     written = []

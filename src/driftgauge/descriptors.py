@@ -111,11 +111,17 @@ class SWDConfig:
 
 @dataclass(frozen=True)
 class ProjectionBasis:
-    """Unit projection directions, one per row, tagged by provenance."""
+    """Unit projection directions, one per row, tagged by provenance.
+
+    The last ``fixed`` rows depend on neither set, only on the seeded
+    configuration (the random slices), so a resident source's quantile
+    curves on them carry over from one target to the next.
+    """
 
     directions: np.ndarray
     provenance: tuple[str, ...]
     rank_deficient: bool = False
+    fixed: int = 0
 
     def __post_init__(self):
         dirs = np.asarray(self.directions, dtype=np.float64)
@@ -128,6 +134,8 @@ class ProjectionBasis:
             raise ValueError("one provenance tag per direction required")
         if any(tag not in ("random", "pca") for tag in self.provenance):
             raise ValueError("provenance tags must be 'random' or 'pca'")
+        if not 0 <= self.fixed <= dirs.shape[0]:
+            raise ValueError("fixed must lie between 0 and the number of directions")
         dirs.setflags(write=False)
         object.__setattr__(self, "directions", dirs)
 
@@ -226,7 +234,9 @@ def random_directions(num: int, dim: int, seed: int) -> ProjectionBasis:
     """``num`` unit directions, uniform on the sphere (normalized Gaussians)."""
     if num < 1 or dim < 1:
         raise ValueError("num and dim must be positive")
-    return ProjectionBasis(directions=_unit_rows(num, dim, seed), provenance=("random",) * num)
+    return ProjectionBasis(
+        directions=_unit_rows(num, dim, seed), provenance=("random",) * num, fixed=num
+    )
 
 
 def _principal_directions(x: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
@@ -267,19 +277,25 @@ def _principal_directions(x: np.ndarray, k: int, rng: np.random.Generator) -> tu
 
 
 def _pca_basis(
-    x: np.ndarray, k_pca: int, rng: np.random.Generator, randoms: tuple[np.ndarray, ...] = ()
+    x: np.ndarray,
+    k_pca: int,
+    rng: np.random.Generator,
+    randoms: tuple[np.ndarray, ...] = (),
+    fixed: int = 0,
 ) -> ProjectionBasis:
     """The basis for centered float64 rows ``x``: the range finder's top
     ``min(k_pca, *x.shape)`` principal directions, then the rows of each
-    array in ``randoms``.  Every direction past the effective rank is tagged
-    random, and the basis is ``rank_deficient`` when fewer than ``k_pca``
-    directions are principal."""
+    array in ``randoms``, the last ``fixed`` of them independent of ``x``.
+    Every direction past the effective rank is tagged random, and the basis
+    is ``rank_deficient`` when fewer than ``k_pca`` directions are
+    principal."""
     dirs, effective = _principal_directions(x, min(k_pca, *x.shape), rng)
     dirs = np.vstack([dirs, *randoms])
     return ProjectionBasis(
         directions=dirs,
         provenance=("pca",) * effective + ("random",) * (dirs.shape[0] - effective),
         rank_deficient=effective < k_pca,
+        fixed=fixed,
     )
 
 
@@ -298,17 +314,22 @@ def pca_directions(joint: EmbeddingSet, k: int, seed: int = 0) -> ProjectionBasi
     return _pca_basis(x, k, rng_for(seed))
 
 
-def _sorted_projections(data: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """(L, n) projections of every row onto every direction, each slice
-    sorted; float64 row blocks keep the cast to one block at a time."""
-    proj = np.empty((directions.shape[0], data.shape[0]))
+def _sorted_projections(data: np.ndarray, *direction_sets: np.ndarray) -> list[np.ndarray]:
+    """(L, n) projections of every row onto each set of directions, each
+    slice sorted.  Each float64 row block is cast once and projected onto
+    every set in a GEMM of its own, so a set's result does not depend on
+    which other sets share the pass."""
+    projs = [np.empty((dirs.shape[0], data.shape[0])) for dirs in direction_sets]
     start = 0
     for block in _float64_blocks(data):
-        np.matmul(directions, block.T, out=proj[:, start : start + block.shape[0]])
-        start += block.shape[0]
+        stop = start + block.shape[0]
+        for dirs, proj in zip(direction_sets, projs):
+            np.matmul(dirs, block.T, out=proj[:, start:stop])
+        start = stop
     # (L, n) layout keeps each slice contiguous for the sort.
-    proj.sort(axis=1)
-    return proj
+    for proj in projs:
+        proj.sort(axis=1)
+    return projs
 
 
 def _quantile_curves(sorted_proj: np.ndarray, quantiles: int) -> np.ndarray:
@@ -324,21 +345,52 @@ def _quantile_curves(sorted_proj: np.ndarray, quantiles: int) -> np.ndarray:
     return below + (sorted_proj[:, hi] - below) * (pos - lo)
 
 
+def _source_curves(src: EmbeddingSet, basis: ProjectionBasis, quantiles: int) -> np.ndarray:
+    """The source's (L, Q) quantile curves on every slice of ``basis``.
+
+    The curves on the basis's ``fixed`` rows are memoized on ``src``, keyed
+    by those rows' bytes and ``quantiles``, so a resident source projects
+    only the target-dependent rows.  The fixed rows always get a GEMM of
+    their own, so a hit returns the very bits a miss computes.
+    """
+    split = basis.num_slices - basis.fixed
+    varying, fixed = basis.directions[:split], basis.directions[split:]
+    # Same memo contract as ``moments``: the instance dict, outside the
+    # dataclass fields; it holds no reference to any set.
+    memo = src.__dict__.setdefault("_curves", {})
+    key = (fixed.tobytes(), quantiles)
+    hit = memo.get(key)
+    # F order, as ``_quantile_curves`` returns it: the per-slice means of
+    # the differences then reduce in the same order on a hit and a miss.
+    curves = np.empty((basis.num_slices, quantiles), order="F")
+    if split or hit is None:
+        projs = _sorted_projections(src.data, varying, *([fixed] if hit is None else []))
+        curves[:split] = _quantile_curves(projs[0], quantiles)
+        if hit is None:
+            hit = memo.setdefault(key, _quantile_curves(projs[1], quantiles))
+    curves[split:] = hit
+    return curves
+
+
 def sliced_w2_per_slice(
     src: EmbeddingSet, tgt: EmbeddingSet, basis: ProjectionBasis, quantiles: int = 256
 ) -> np.ndarray:
     """Squared 1-D quadratic Wasserstein distance per slice.
 
     Equal sizes pair sorted projections directly; unequal sizes compare both
-    empirical quantile functions on the midpoint grid (q-0.5)/Q.
+    empirical quantile functions on the midpoint grid (q-0.5)/Q.  On that
+    unequal-size path the source's curves on the basis's ``fixed`` slices
+    (the configuration's random ones) are memoized on the source set, l x Q
+    values per configuration, so a source kept resident across targets
+    projects only onto the target-dependent slices.
     """
     check_same_dim(src.dim, basis.dim, "source vs basis")
     check_same_dim(tgt.dim, basis.dim, "target vs basis")
-    proj_src = _sorted_projections(src.data, basis.directions)
-    proj_tgt = _sorted_projections(tgt.data, basis.directions)
+    (proj_tgt,) = _sorted_projections(tgt.data, basis.directions)
     if src.n == tgt.n:
+        (proj_src,) = _sorted_projections(src.data, basis.directions)
         return np.mean((proj_src - proj_tgt) ** 2, axis=1)
-    diff = _quantile_curves(proj_src, quantiles) - _quantile_curves(proj_tgt, quantiles)
+    diff = _source_curves(src, basis, quantiles) - _quantile_curves(proj_tgt, quantiles)
     return np.mean(diff**2, axis=1)
 
 
@@ -384,7 +436,9 @@ def build_basis(src: EmbeddingSet, tgt: EmbeddingSet, cfg: SWDConfig) -> Project
     # A joint cloud too small for k_pca is topped up with random slices.
     top_up = _unit_rows(cfg.k_pca - min(cfg.k_pca, take, dim), dim, spawn_seed(cfg.seed, 4))
     tail = _unit_rows(cfg.l_random, dim, spawn_seed(cfg.seed, 3))
-    return _pca_basis(rows, cfg.k_pca, rng_for(spawn_seed(cfg.seed, 2)), (top_up, tail))
+    return _pca_basis(
+        rows, cfg.k_pca, rng_for(spawn_seed(cfg.seed, 2)), (top_up, tail), fixed=cfg.l_random
+    )
 
 
 def _bytes_greater(a: np.ndarray, b: np.ndarray) -> bool:
@@ -408,7 +462,11 @@ def hybrid_swd(src: EmbeddingSet, tgt: EmbeddingSet, cfg: SWDConfig) -> float:
     The hybrid basis depends on the target as well as the source, so each
     new batch builds its own.  The basis is memoized on the target set, one
     per config, and reused while the source is the very same data array;
-    the memo goes when the target does.
+    the memo goes when the target does.  The config's random slices depend
+    on neither set, so for unequal sizes ``sliced_w2_per_slice`` memoizes
+    the source's quantile curves on them on the source set: a resident
+    source projects only onto the ``k_pca`` target-dependent slices (none
+    in ``all_random`` mode) after its first unequal-size target.
     """
     # Same memo contract as ``moments``: the instance dict, outside the
     # dataclass fields.  Holding the source array, not the source set, keeps

@@ -218,7 +218,9 @@ def bench_swd(
 ) -> BenchResult:
     """Median wall time of the sliced distance over a (sizes x slices) grid.
 
-    One warmup evaluation precedes the timed trials.  The distance value is
+    One warmup evaluation precedes the timed trials, and each source stays
+    resident across them: for unequal sizes its curves on the random slices
+    come from the source's memo after the warmup.  The distance value is
     recorded per row; it is identical across trials because the computation
     is fully seeded (only timing varies).  Peak transient bytes use the
     analytic bound L*(n+m)*8 for the stacked float64 projections.

@@ -381,6 +381,43 @@ class TestCliWorkflow:
         assert detail.format(d=workdir) in payload["message"]
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, error, detail",
+        [
+            (["synth", "gen", "--dim", "0", "--count", "5"], "InvalidValue", "--dim"),
+            (["synth", "gen", "--dim", "3", "--count", "0"], "InvalidValue", "--count"),
+            (["synth", "gen", "--dim", "3", "--count", "5", "--stddev", "-1"],
+             "InvalidValue", "--stddev"),
+            (["synth", "family", "--dim", "3", "--count", "5", "--shifts", "1,0"],
+             "InvalidValue", "--shifts"),
+            (["synth", "family", "--dim", "3", "--count", "5", "--shifts", "0,x"],
+             "ParseError", "--shifts '0,x'"),
+            (["bench", "swd", "--sizes", "20,20,3", "--slices", "2", "--trials", "0"],
+             "InvalidValue", "--trials"),
+            (["bench", "swd", "--sizes", "20,0,3", "--slices", "2"],
+             "InvalidValue", "--sizes chunk '20,0,3'"),
+            (["bench", "swd", "--sizes", "20,20,3", "--slices", "0"],
+             "InvalidValue", "--slices"),
+            (["bench", "swd", "--sizes", "20,20,3", "--slices", "4", "--mode", "hybrid"],
+             "InvalidValue", "k_pca=8"),
+            (["bench", "swd", "--sizes", "20,20,3", "--slices", ","],
+             "ParseError", "no entries"),
+        ],
+        ids=["gen-dim-0", "gen-count-0", "gen-negative-stddev", "family-descending-shifts",
+             "family-bad-shift", "bench-trials-0", "bench-size-0", "bench-slices-0",
+             "bench-hybrid-too-few-slices", "bench-no-slices"],
+    )
+    def test_bad_numeric_argument_exits_1(self, workdir, capsys, argv, error, detail):
+        out = ["--out", str(workdir / "x.fsemb")] if argv[1] == "gen" else []
+        out += ["--out-dir", str(workdir / "fam")] if argv[1] == "family" else []
+        assert cli(*argv, *out) == 1
+        captured = capsys.readouterr()
+        payload = json.loads(captured.err.strip())
+        assert payload["error"] == error
+        assert detail in payload["message"]
+        assert captured.out == ""
+        assert list(workdir.iterdir()) == []
+
     def test_inputs_not_mutated(self, workdir):
         self._gen_inputs(workdir)
         before = (workdir / "src.fsemb").read_bytes()

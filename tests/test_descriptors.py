@@ -449,6 +449,96 @@ class TestBasisMemo:
         assert calls == [hybrid, random]
 
 
+def _copy(es):
+    return EmbeddingSet(data=es.data.copy())
+
+
+class TestSourceCurveMemo:
+    """``sliced_w2_per_slice`` keeps the source's quantile curves on a
+    basis's fixed slices on the source set, for unequal-size pairs only."""
+
+    def test_fixed_rows_recorded(self):
+        src = gaussian_set(300, 6, seed=80)
+        tgt = gaussian_set(200, 6, seed=81)
+        assert build_basis(src, tgt, SWDConfig(k_pca=3, l_random=4, seed=1)).fixed == 4
+        assert build_basis(src, tgt, SWDConfig(k_pca=3, l_random=0, seed=1)).fixed == 0
+        assert build_basis(src, tgt, SWDConfig.all_random(5, seed=1)).fixed == 5
+        small = gaussian_set(2, 6, seed=82)
+        # A joint cloud too small for k_pca: the top-up rows are not fixed.
+        basis = build_basis(small, small, SWDConfig(k_pca=5, l_random=3, seed=1))
+        assert basis.provenance.count("random") > 3 and basis.fixed == 3
+        with pytest.raises(ValueError):
+            ProjectionBasis(directions=np.eye(2), provenance=("random",) * 2, fixed=3)
+
+    def test_miss_on_other_config_or_quantiles(self):
+        src = gaussian_set(600, 6, seed=83)
+        tgt = gaussian_set(250, 6, seed=84, mean=0.3)
+        other = gaussian_set(180, 6, seed=85, mean=-0.2)
+        calls = [
+            (SWDConfig(k_pca=3, l_random=4, seed=1), 64, tgt, 1),
+            (SWDConfig(k_pca=3, l_random=4, seed=2), 64, tgt, 2),
+            (SWDConfig(k_pca=3, l_random=4, seed=2), 32, tgt, 3),
+            (SWDConfig.all_random(4, seed=2), 32, tgt, 4),
+            # A new target under a known config and Q is a hit.
+            (SWDConfig(k_pca=3, l_random=4, seed=2), 32, other, 4),
+        ]
+        for cfg, q, target, entries in calls:
+            basis = build_basis(src, target, cfg)
+            got = sliced_w2_per_slice(src, target, basis, q)
+            assert len(src.__dict__["_curves"]) == entries
+            np.testing.assert_array_equal(got, sliced_w2_per_slice(_copy(src), target, basis, q))
+            want = reference_sliced_w2_per_slice(src.data, target.data, basis.directions, q)
+            assert max_relative_error(got, want) <= ORACLE_REL
+
+    def test_equal_sizes_never_read_the_memo(self):
+        src = gaussian_set(300, 6, seed=85)
+        cfg = SWDConfig(k_pca=3, l_random=4, seed=3)
+        same_size = gaussian_set(300, 6, seed=86, mean=0.4)
+        hybrid_swd(src, same_size, cfg)
+        assert "_curves" not in src.__dict__
+        other = gaussian_set(120, 6, seed=87, mean=0.4)
+        honest = hybrid_swd(src, other, cfg)
+        # Poison the memo: the unequal path reads it, the equal path not.
+        for curves in src.__dict__["_curves"].values():
+            curves += 1.0
+        assert hybrid_swd(src, _copy(other), cfg) != honest
+        assert hybrid_swd(src, _copy(same_size), cfg) == hybrid_swd(_copy(src), same_size, cfg)
+
+    def test_cold_and_warm_match_the_plain_formula_bit_for_bit(self):
+        src = gaussian_set(900, 12, seed=91)
+        cfg = SWDConfig(k_pca=3, l_random=6, seed=5)
+        for rows, seed in ((400, 92), (250, 93)):
+            tgt = gaussian_set(rows, 12, seed=seed, mean=0.2)
+            basis = build_basis(src, tgt, cfg)
+            got = sliced_w2_per_slice(src, tgt, basis, cfg.quantiles)
+            # The plain formula on the same GEMMs: the memo changes neither
+            # the values nor the (F-ordered) layout the means reduce over.
+            split = basis.num_slices - basis.fixed
+            parts = descriptors._sorted_projections(
+                src.data, basis.directions[:split], basis.directions[split:]
+            )
+            (proj_tgt,) = descriptors._sorted_projections(tgt.data, basis.directions)
+            diff = descriptors._quantile_curves(np.vstack(parts), cfg.quantiles)
+            diff -= descriptors._quantile_curves(proj_tgt, cfg.quantiles)
+            assert got.tobytes() == np.mean(diff**2, axis=1).tobytes()
+
+    def test_resident_source_freed_after_scoring(self):
+        src = gaussian_set(400, 6, seed=88)
+        tgt = gaussian_set(300, 6, seed=89, mean=0.5)
+        data = weakref.ref(src.data)
+        compute_delta(src, tgt, SWDConfig(k_pca=3, l_random=4, seed=2))
+        assert "_curves" in src.__dict__
+        del src, tgt
+        # Reference counting alone must free it: the curve memo holds no
+        # reference to any set, and the basis memo goes with the target.
+        assert data() is None
+
+    def test_self_distance_is_exactly_zero(self):
+        a = gaussian_set(350, 6, seed=90)
+        for cfg in (SWDConfig(k_pca=3, l_random=4, seed=4), SWDConfig.all_random(6, seed=4)):
+            assert hybrid_swd(a, a, cfg) == 0.0
+
+
 class TestComputeDelta:
     def test_identity_components(self):
         a = gaussian_set(400, 8, seed=51)
@@ -499,6 +589,35 @@ class TestComputeDelta:
             reused = compute_delta(src, tgt, cfg)
             fresh = compute_delta(EmbeddingSet(data=src.data.copy()), tgt, cfg)
             assert reused.to_dict() == fresh.to_dict()
+
+    def test_zero_variance_source_whitens_by_the_floor(self):
+        # Every source coordinate is floored to variance 1e-8, so a target
+        # one unit away on each of the D=3 coordinates has radius
+        # sqrt(D / floor) on every row.
+        src = EmbeddingSet(data=np.zeros((50, 3), dtype=np.float32))
+        tgt = EmbeddingSet(data=np.ones((40, 3), dtype=np.float32))
+        delta = compute_delta(src, tgt, SWDConfig(k_pca=2, l_random=2, seed=1), 1e-8)
+        assert delta.sd_m_mean == pytest.approx(math.sqrt(3 / 1e-8), rel=1e-12)
+        assert delta.sd_m_mean == pytest.approx(17320.508, abs=1e-3)
+        assert delta.sd_m_std == 0.0
+        assert delta.sd_f == pytest.approx(3.0, rel=1e-12)
+
+    def test_near_overflow_float32_gives_finite_features(self):
+        # Float32 values near 1e30 square to about 1e60 in float64, far
+        # below its overflow; a shift of 3.7e29 on each of 8 coordinates
+        # puts sd_f near 8 * (3.7e29)^2 = 1.1e60.
+        rng = np.random.default_rng(64)
+        src = (1e30 * (1.0 + 0.1 * rng.standard_normal((300, 8)))).astype(np.float32)
+        tgt = src[:200] + np.float32(3.7e29)
+        delta = compute_delta(
+            EmbeddingSet(data=src), EmbeddingSet(data=tgt), SWDConfig(k_pca=2, l_random=4, seed=1)
+        )
+        assert np.all(np.isfinite(delta.features()))
+        mean_s, var_s = reference_moments(src, 1e-8)
+        mean_t, var_t = reference_moments(tgt, 1e-8)
+        want = np.sum((mean_t - mean_s) ** 2) + np.sum((np.sqrt(var_s) - np.sqrt(var_t)) ** 2)
+        assert delta.sd_f == pytest.approx(want, rel=ORACLE_REL)
+        assert delta.sd_f == pytest.approx(1.1e60, rel=0.02)
 
     def test_digest_recorded(self):
         a = gaussian_set(50, 3, seed=57)
@@ -551,10 +670,12 @@ def _kind_data(kind, rows, dim, seed):
 
 class TestBlockBoundaries:
     """Block-wise kernels against plain float64 two-pass references, at row
-    counts around one float64 row block."""
+    counts around one float64 row block and around four, so that sums and
+    column offsets also carry across several blocks."""
 
     DIM = 256
-    ROWS = (1, _block_rows(256) - 1, _block_rows(256), _block_rows(256) + 1)
+    BLOCK = _block_rows(256)
+    ROWS = (1, BLOCK - 1, BLOCK, BLOCK + 1, 4 * BLOCK - 1, 4 * BLOCK, 4 * BLOCK + 1)
     KINDS = ("gaussian", "zero-variance columns", "near 1e30")
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -580,3 +701,16 @@ class TestBlockBoundaries:
             got = sliced_w2_per_slice(src, tgt, basis, quantiles=64)
             want = reference_sliced_w2_per_slice(src.data, tgt.data, basis.directions, 64)
             assert max_relative_error(got, want) <= ORACLE_REL
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_resident_source_bit_identical_to_fresh_copy(self, rows):
+        src = EmbeddingSet(data=_kind_data("gaussian", rows, self.DIM, seed=75))
+        cfg = SWDConfig(k_pca=3, l_random=5, seed=8)
+        hybrid_swd(src, EmbeddingSet(data=_kind_data("gaussian", 40, self.DIM, seed=76)), cfg)
+        tgt = EmbeddingSet(data=_kind_data("gaussian", rows + 29, self.DIM, seed=77))
+        basis = build_basis(src, tgt, cfg)
+        resident = sliced_w2_per_slice(src, tgt, basis, cfg.quantiles)
+        fresh = sliced_w2_per_slice(EmbeddingSet(data=src.data.copy()), tgt, basis, cfg.quantiles)
+        assert resident.tobytes() == fresh.tobytes()
+        want = reference_sliced_w2_per_slice(src.data, tgt.data, basis.directions, cfg.quantiles)
+        assert max_relative_error(resident, want) <= ORACLE_REL
