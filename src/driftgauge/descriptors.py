@@ -314,22 +314,66 @@ def pca_directions(joint: EmbeddingSet, k: int, seed: int = 0) -> ProjectionBasi
     return _pca_basis(x, k, rng_for(seed))
 
 
-def _sorted_projections(data: np.ndarray, *direction_sets: np.ndarray) -> list[np.ndarray]:
+def _sorted_projections(
+    data: np.ndarray, *direction_sets: np.ndarray, sums: np.ndarray | None = None
+) -> list[np.ndarray]:
     """(L, n) projections of every row onto each set of directions, each
     slice sorted.  Each float64 row block is cast once and projected onto
     every set in a GEMM of its own, so a set's result does not depend on
-    which other sets share the pass."""
+    which other sets share the pass.  ``sums``, if given, also receives the
+    column sums of the rows, so the same pass yields their mean."""
     projs = [np.empty((dirs.shape[0], data.shape[0])) for dirs in direction_sets]
     start = 0
     for block in _float64_blocks(data):
         stop = start + block.shape[0]
         for dirs, proj in zip(direction_sets, projs):
             np.matmul(dirs, block.T, out=proj[:, start:stop])
+        if sums is not None:
+            sums += block.sum(axis=0)
         start = stop
     # (L, n) layout keeps each slice contiguous for the sort.
     for proj in projs:
         proj.sort(axis=1)
     return projs
+
+
+def _centred_projections(data: np.ndarray, dirs: np.ndarray, centre: np.ndarray) -> np.ndarray:
+    """(L, n) sorted float64 projections of float32 rows onto float64
+    ``dirs``, computed as float32 GEMMs on rows centred on the float32
+    ``centre``, with ``dirs @ centre`` added back in float64.
+
+    Each block of about ``_BLOCK_BYTES`` float32 rows is centred into one
+    reused buffer and projected in a GEMM of its own.  Centring keeps the
+    float32 rounding relative to the spread of the projections rather than
+    to their offset.  A block whose float32 projection is not finite (rows
+    near the float32 limit) is projected again in float64, so the result
+    is always finite and depends only on the data, dirs and centre.
+    """
+    n, dim = data.shape
+    rows = min(n, max(1, _BLOCK_BYTES // (4 * dim)))
+    dirs32 = dirs.T.astype(np.float32)
+    centre64 = centre.astype(np.float64)
+    # One flat subtraction against the centre tiled over a block's rows runs
+    # faster than a row-wise broadcast: 11 against 13 ms over a 20000 x 1024
+    # source, and half the time at D = 32.
+    tiled = np.tile(centre, rows)
+    buf = np.empty(rows * dim, dtype=np.float32)
+    proj = np.empty((dirs.shape[0], n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, rows):
+            block = data[start : start + rows]
+            centred = np.subtract(block.reshape(-1), tiled[: block.size], out=buf[: block.size])
+            proj[:, start : start + block.shape[0]] = (centred.reshape(block.shape) @ dirs32).T
+    if not np.isfinite(proj).all():
+        for start in range(0, n, rows):
+            part = proj[:, start : start + rows]
+            if not np.isfinite(part).all():
+                block = data[start : start + rows].astype(np.float64)
+                block -= centre64
+                np.matmul(dirs, block.T, out=part)
+    proj += (dirs @ centre64)[:, None]
+    proj.sort(axis=1)
+    return proj
 
 
 def _quantile_curves(sorted_proj: np.ndarray, quantiles: int) -> np.ndarray:
@@ -349,9 +393,14 @@ def _source_curves(src: EmbeddingSet, basis: ProjectionBasis, quantiles: int) ->
     """The source's (L, Q) quantile curves on every slice of ``basis``.
 
     The curves on the basis's ``fixed`` rows are memoized on ``src``, keyed
-    by those rows' bytes and ``quantiles``, so a resident source projects
-    only the target-dependent rows.  The fixed rows always get a GEMM of
-    their own, so a hit returns the very bits a miss computes.
+    by those rows' bytes and ``quantiles``.  The cold pass that fills them
+    projects in float64 and also sums the rows; the mean, cast to float32,
+    is memoized on ``src`` as its centre.  The target-dependent rows are
+    then projected through ``_centred_projections``, a float32 pass on
+    rows centred on that centre, on a cold and a warm call alike, so a hit
+    returns the very bits a miss computes.  Against the float64 formula the
+    relative error in ``sd_sw`` stays near 1e-8 on unit-scale data, offset
+    or not.
     """
     split = basis.num_slices - basis.fixed
     varying, fixed = basis.directions[:split], basis.directions[split:]
@@ -360,15 +409,19 @@ def _source_curves(src: EmbeddingSet, basis: ProjectionBasis, quantiles: int) ->
     memo = src.__dict__.setdefault("_curves", {})
     key = (fixed.tobytes(), quantiles)
     hit = memo.get(key)
+    if hit is None:
+        sums = np.zeros(src.dim)
+        (proj,) = _sorted_projections(src.data, fixed, sums=sums)
+        # The centre goes in before the curves: a hit implies a centre.
+        src.__dict__.setdefault("_centre", (sums / src.n).astype(np.float32))
+        hit = memo.setdefault(key, _quantile_curves(proj, quantiles))
     # F order, as ``_quantile_curves`` returns it: the per-slice means of
     # the differences then reduce in the same order on a hit and a miss.
     curves = np.empty((basis.num_slices, quantiles), order="F")
-    if split or hit is None:
-        projs = _sorted_projections(src.data, varying, *([fixed] if hit is None else []))
-        curves[:split] = _quantile_curves(projs[0], quantiles)
-        if hit is None:
-            hit = memo.setdefault(key, _quantile_curves(projs[1], quantiles))
     curves[split:] = hit
+    if split:
+        proj = _centred_projections(src.data, varying, src.__dict__["_centre"])
+        curves[:split] = _quantile_curves(proj, quantiles)
     return curves
 
 
@@ -382,7 +435,9 @@ def sliced_w2_per_slice(
     unequal-size path the source's curves on the basis's ``fixed`` slices
     (the configuration's random ones) are memoized on the source set, l x Q
     values per configuration, so a source kept resident across targets
-    projects only onto the target-dependent slices.
+    projects only onto the target-dependent slices, in a float32 pass on
+    rows centred on the source's mean (see ``_source_curves``).  The
+    target, the fixed slices and the equal-size path stay float64.
     """
     check_same_dim(src.dim, basis.dim, "source vs basis")
     check_same_dim(tgt.dim, basis.dim, "target vs basis")

@@ -48,12 +48,13 @@ EPOCH_TIMESTAMP = "1970-01-01T00:00:00Z"
 
 DEFAULT_VARIANCE_FLOOR = 1e-8
 
-# Kernels work on blocks of about 256 KiB (float64 rows, or raw bytes when
-# comparing sets): big enough that per-block overhead vanishes, small enough
-# that no kernel holds an n x D float64 copy, and that a block, its float32
-# rows and the GEMM's packed copy of it stay in L2.  On a 2-core Xeon with
-# 2 MiB of L2 per core, projecting 20000 x 1024 rows onto 8 slices took
-# 35 ms in 256-512 KiB blocks against 53 ms in 1 MiB ones.
+# Kernels work on blocks of about 256 KiB (float64 rows, float32 rows in the
+# centred projection, or raw bytes when comparing sets): big enough that
+# per-block overhead vanishes, small enough that no kernel holds an n x D
+# float64 copy, and that a block, its float32 rows and the GEMM's packed
+# copy of it stay in L2.  On a 2-core Xeon with 2 MiB of L2 per core,
+# projecting 20000 x 1024 rows onto 8 slices in float64 took 35 ms in
+# 256-512 KiB blocks against 53 ms in 1 MiB ones.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -97,30 +98,37 @@ class EmbeddingSet:
       once;
     * ``sliced_w2_per_slice`` memoizes a source's quantile curves on a
       basis's fixed (configuration-only) slices on the source set, keyed
-      by those directions and the quantile count, for unequal-size pairs;
+      by those directions and the quantile count, for unequal-size pairs,
+      and with them the source's mean cast to float32, the centre of its
+      float32 projection pass;
     * ``hybrid_swd`` memoizes the slice basis on the target set, per config
       and source array.
 
     The memos are safe for concurrent reads as well: two threads may both
     compute a missing entry, and both get equal values.
-    A C-contiguous float32 ``data`` array is not copied, only made read-only;
-    the caller must not write to it after construction (say, after setting
-    the write flag again): every memo trusts it.
+    ``data`` is held as a C-contiguous, aligned float32 array, so BLAS can
+    take it as is.  Such an array is not copied, only made read-only; any
+    other array (another dtype, a strided view, a misaligned buffer) is
+    copied once.  The caller must not write to an array it handed over
+    (say, after setting the write flag again): every memo trusts it.
+    Values must be finite; NaN or Inf raises ``NonFiniteValue`` at its
+    first cell, while any finite float32, up to +-3.4e38, is accepted.
     """
 
     data: np.ndarray
     manifest: Manifest = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        data = np.ascontiguousarray(self.data, dtype=np.float32)
+        data = np.require(np.asarray(self.data, np.float32), requirements=["C", "A"])
         if data.ndim != 2:
             raise ValueError("data must be a 2-D matrix")
         n, dim = data.shape
         if n < 1 or dim < 1:
             raise ValueError("need at least one row and one column")
-        # One cheap reduction screens for NaN/Inf; only on failure is the
-        # full scan run to locate the offending cell.
-        if not np.isfinite(data.min() + data.max()):
+        # Two cheap reductions screen for NaN/Inf (NaN propagates through
+        # both); only on failure is the full scan run to locate the cell.
+        # They are tested apart: the sum of two finite extremes can overflow.
+        if not (np.isfinite(data.min()) and np.isfinite(data.max())):
             bad = np.argwhere(~np.isfinite(data))
             raise NonFiniteValue(int(bad[0, 0]), int(bad[0, 1]))
         data.setflags(write=False)
@@ -191,42 +199,58 @@ def save_embedding_set(es: EmbeddingSet, path: str | os.PathLike) -> None:
 
 
 def load_embedding_set(path: str | os.PathLike) -> EmbeddingSet:
-    """Read a ``.fsemb`` file, verifying header, length, and finiteness."""
+    """Read a ``.fsemb`` file, verifying header, length, and finiteness.
+
+    The header is checked first: magic, version, dtype, at least one row
+    and one column, and a payload size that matches the file's.  Only then
+    is the (count, dim) array allocated, so a header that claims more rows
+    than the file holds fails without allocating.  The payload is read
+    straight into that array, which is aligned, unlike a view at the
+    25-byte header offset, so BLAS kernels take it without a copy.  Every
+    bad file raises a ``DriftGaugeError``.
+    """
     path = os.fspath(path)
-    if not os.path.isfile(path):
-        raise MissingFile(path)
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            head = fh.read(_HEADER.size)
+            if len(head) < _HEADER.size:
+                raise BadMagic(f"{path}: file shorter than header")
+            magic, version, count, dim, code = _HEADER.unpack(head)
+            if magic != MAGIC:
+                raise BadMagic(f"{path}: bad magic {magic!r}")
+            if version != VERSION:
+                raise BadMagic(f"{path}: unsupported version {version}")
+            if code not in _CODE_DTYPES:
+                raise BadMagic(f"{path}: unknown dtype code {code}")
+            if count < 1 or dim < 1:
+                raise BadMagic(f"{path}: header claims an empty {count}x{dim} set")
+            expected = count * dim * 4
+            got = os.fstat(fh.fileno()).st_size - _HEADER.size
+            if got != expected:
+                raise TruncatedPayload(f"{path}: payload {got} bytes, expected {expected}")
+            data = np.empty((count, dim), dtype="<f4")
+            read = fh.readinto(memoryview(data).cast("B"))
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        raise MissingFile(path) from None
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if len(raw) < _HEADER.size:
-        raise BadMagic(f"{path}: file shorter than header")
-    magic, version, count, dim, code = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise BadMagic(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise BadMagic(f"{path}: unsupported version {version}")
-    if code not in _CODE_DTYPES:
-        raise BadMagic(f"{path}: unknown dtype code {code}")
-    expected = count * dim * 4
-    got = len(raw) - _HEADER.size
-    if got != expected:
-        raise TruncatedPayload(f"{path}: payload {got} bytes, expected {expected}")
-    data = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(count, dim)
+    if read != expected:
+        raise TruncatedPayload(f"{path}: read {read} payload bytes, expected {expected}")
     manifest = _read_sidecar(path, count, dim, _CODE_DTYPES[code])
     return EmbeddingSet(data=data, manifest=manifest)
 
 
 def _read_sidecar(path: str, count: int, dim: int, dtype: str) -> Manifest:
-    sidecar_path = path + ".json"
-    fields = {}
-    if os.path.isfile(sidecar_path):
-        try:
-            with open(sidecar_path, "r", encoding="utf-8") as fh:
-                fields = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            fields = {}
+    """The manifest from the binary header plus the sidecar's descriptive
+    fields; a sidecar that is missing, unreadable or not a JSON object is
+    ignored, since the header alone defines the set."""
+    try:
+        with open(path + ".json", "r", encoding="utf-8") as fh:
+            fields = json.load(fh)
+    except (OSError, ValueError):
+        fields = {}
+    if not isinstance(fields, dict):
+        fields = {}
     return Manifest(
         count=count,
         dim=dim,

@@ -63,6 +63,12 @@ def reference_sliced_w2_per_slice(a, b, directions, quantiles):
     return out
 
 
+def reference_sd_sw(a, b, directions, quantiles):
+    """``sd_sw`` in float64 throughout: the root of the mean per-slice
+    squared W2 of ``reference_sliced_w2_per_slice``."""
+    return float(np.sqrt(reference_sliced_w2_per_slice(a, b, directions, quantiles).mean()))
+
+
 # ---------------------------------------------------------------------------
 # exact PCA
 

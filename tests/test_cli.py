@@ -342,6 +342,17 @@ class TestCliWorkflow:
         assert code == 1
         assert json.loads(capsys.readouterr().err.strip())["error"] == "MissingFile"
 
+    @pytest.mark.parametrize("count, dim", [(0, 4), (3, 0)])
+    def test_empty_fsemb_header_exits_1(self, workdir, capsys, count, dim):
+        import struct
+
+        path = workdir / "empty.fsemb"
+        path.write_bytes(struct.pack("<8sIQIB", b"FSEMB\x00\x00\x00", 1, count, dim, 1))
+        code = cli("descriptors", "compute", "--source", path, "--target", path,
+                   "--out", workdir / "d.json")
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "BadMagic"
+
     @pytest.mark.parametrize(
         "argv, error, detail",
         [

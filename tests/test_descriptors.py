@@ -30,6 +30,7 @@ from helpers import (
     max_relative_error,
     reference_moments,
     reference_radii,
+    reference_sd_sw,
     reference_sliced_w2_per_slice,
     subspace_angle,
 )
@@ -511,11 +512,17 @@ class TestSourceCurveMemo:
             tgt = gaussian_set(rows, 12, seed=seed, mean=0.2)
             basis = build_basis(src, tgt, cfg)
             got = sliced_w2_per_slice(src, tgt, basis, cfg.quantiles)
-            # The plain formula on the same GEMMs: the memo changes neither
-            # the values nor the (F-ordered) layout the means reduce over.
+            # The plain formula on the same kernels: float64 GEMMs on the
+            # fixed rows, the centred float32 pass on the others.  The memo
+            # changes neither the values nor the (F-ordered) layout the
+            # means reduce over.  The centre is the float32 cast of the mean
+            # that ``moments`` sums over the same float64 blocks.
+            centre = moments(_copy(src)).mean.astype(np.float32)
+            np.testing.assert_array_equal(src.__dict__["_centre"], centre)
             split = basis.num_slices - basis.fixed
-            parts = descriptors._sorted_projections(
-                src.data, basis.directions[:split], basis.directions[split:]
+            parts = (
+                descriptors._centred_projections(src.data, basis.directions[:split], centre),
+                *descriptors._sorted_projections(src.data, basis.directions[split:]),
             )
             (proj_tgt,) = descriptors._sorted_projections(tgt.data, basis.directions)
             diff = descriptors._quantile_curves(np.vstack(parts), cfg.quantiles)
@@ -537,6 +544,75 @@ class TestSourceCurveMemo:
         a = gaussian_set(350, 6, seed=90)
         for cfg in (SWDConfig(k_pca=3, l_random=4, seed=4), SWDConfig.all_random(6, seed=4)):
             assert hybrid_swd(a, a, cfg) == 0.0
+
+
+def _edge_source(kind, rng):
+    """Source rows for the float32 pass's numeric edges."""
+    if kind == "offset 30":
+        return 30.0 + rng.standard_normal((2500, 512))
+    if kind == "scale 1e-30":
+        return 1e-30 * rng.standard_normal((2500, 64))
+    if kind == "scale 1e37":
+        # Every row sits 4e37 from the origin along a random sign pattern of
+        # the all-ones direction: the leading principal direction, onto
+        # which the float32 projection overflows.
+        signs = rng.choice([-4.0, 4.0], size=(2500, 1))
+        return 1e37 * (signs + 0.5 * rng.standard_normal((2500, 512)))
+    # "3e38": the centring subtraction itself overflows in float32.
+    x = rng.choice([-3e38, 3e38], p=[0.75, 0.25], size=(2500, 16))
+    x[:, 0] = 3e38 * rng.uniform(-1, 1, 2500)
+    return x
+
+
+class TestCentredFloat32Pass:
+    """The source's target-dependent slices go through a centred float32
+    pass; its ``sd_sw`` stays within 1e-7 of the float64 formula, finite
+    near the float32 limit, and the same bits cold and warm."""
+
+    @pytest.mark.parametrize("kind", ["offset 30", "scale 1e-30", "scale 1e37", "3e38"])
+    def test_matches_float64_reference_cold_and_warm(self, kind):
+        rng = np.random.default_rng(95)
+        x = _edge_source(kind, rng)
+        src = EmbeddingSet(data=x.astype(np.float32))
+        t = x[rng.choice(x.shape[0], 900, replace=False)]
+        t[:, :8] *= 0.97
+        tgt = EmbeddingSet(data=t.astype(np.float32))
+        cfg = SWDConfig(seed=9)
+        cold = hybrid_swd(src, tgt, cfg)
+        basis = build_basis(src, tgt, cfg)
+        want = reference_sd_sw(src.data, tgt.data, basis.directions, cfg.quantiles)
+        assert math.isfinite(cold) and abs(cold - want) <= 1e-7 * want
+        warm = hybrid_swd(src, _copy(tgt), cfg)
+        fresh = hybrid_swd(_copy(src), tgt, cfg)
+        assert np.float64(cold).tobytes() == np.float64(warm).tobytes() == np.float64(fresh).tobytes()
+
+    @pytest.mark.parametrize("kind", ["scale 1e37", "3e38"])
+    def test_near_limit_sources_take_the_float64_fallback(self, kind):
+        x = _edge_source(kind, np.random.default_rng(95)).astype(np.float32)
+        src = EmbeddingSet(data=x)
+        dirs = build_basis(src, src, SWDConfig(k_pca=2, l_random=0, seed=9)).directions
+        centre = moments(src).mean.astype(np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            float32_only = dirs.astype(np.float32) @ (x - centre).T
+        assert not np.isfinite(float32_only).all()
+        got = descriptors._centred_projections(x, dirs, centre)
+        want = np.sort(dirs @ x.astype(np.float64).T, axis=1)
+        assert np.isfinite(got).all()
+        # Float64 rounding only; the float32 pass would err near 1e-7.
+        assert max_relative_error(got, want, floor=1e-300) <= 1e-10
+
+    def test_equal_sizes_and_fixed_slices_stay_float64(self):
+        src = gaussian_set(700, 12, seed=96, mean=3.0)
+        cfg = SWDConfig(k_pca=3, l_random=5, seed=10)
+        for rows in (700, 300):
+            tgt = gaussian_set(rows, 12, seed=97, mean=3.2)
+            basis = build_basis(src, tgt, cfg)
+            got = sliced_w2_per_slice(src, tgt, basis, cfg.quantiles)
+            want = reference_sliced_w2_per_slice(src.data, tgt.data, basis.directions, cfg.quantiles)
+            # Every equal-size slice and the fixed (random) slices of an
+            # unequal pair are float64 GEMMs, within float64 rounding.
+            exact = slice(None) if rows == 700 else slice(basis.num_slices - basis.fixed, None)
+            assert max_relative_error(got[exact], want[exact]) <= 1e-12
 
 
 class TestComputeDelta:

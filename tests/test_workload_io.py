@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from driftgauge import (
     EmbeddingSet,
@@ -11,11 +15,16 @@ from driftgauge import (
 )
 from driftgauge.errors import (
     BadMagic,
+    DriftGaugeError,
     MissingFile,
     NonFiniteValue,
     SizeExceedsPopulation,
     TruncatedPayload,
 )
+
+# The ``.fsemb`` header: magic, version, count, dim, dtype code.
+HEADER = struct.Struct("<8sIQIB")
+MAGIC = b"FSEMB\x00\x00\x00"
 
 
 def make_set(rows, **manifest_kw):
@@ -51,6 +60,33 @@ class TestEmbeddingSet:
         with pytest.raises(ValueError):
             es.data[0, 0] = 9.0
 
+    @pytest.mark.parametrize("value", [3e38, -3e38])
+    def test_accepts_values_near_the_float32_limit(self, value):
+        # The sum of the two extremes would overflow; each alone is finite.
+        data = np.full((2, 3), value, dtype=np.float32)
+        data[1, 2] = -value
+        es = EmbeddingSet(data=data)
+        assert es.data.min() == np.float32(-3e38) and es.data.max() == np.float32(3e38)
+
+    def test_nan_beside_near_limit_values_reported_at_its_cell(self):
+        data = np.full((3, 4), 3e38, dtype=np.float32)
+        data[0, 0] = -3e38
+        data[2, 1] = np.nan
+        with pytest.raises(NonFiniteValue) as err:
+            EmbeddingSet(data=data)
+        assert (err.value.row, err.value.col) == (2, 1)
+
+    def test_misaligned_array_copied_once_aligned_one_kept(self):
+        raw = np.zeros(4 * 6 + 1, dtype=np.uint8)
+        misaligned = np.ndarray((2, 3), np.float32, buffer=raw, offset=1)
+        misaligned[...] = np.arange(6, dtype=np.float32).reshape(2, 3)
+        assert not misaligned.flags.aligned
+        es = EmbeddingSet(data=misaligned)
+        assert es.data is not misaligned and es.data.flags.aligned
+        np.testing.assert_array_equal(es.data, misaligned)
+        aligned = np.arange(6, dtype=np.float32).reshape(2, 3)
+        assert EmbeddingSet(data=aligned).data is aligned
+
 
 class TestSaveLoad:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -82,6 +118,13 @@ class TestSaveLoad:
         with pytest.raises(MissingFile):
             load_embedding_set(tmp_path / "nope.fsemb")
 
+    @pytest.mark.parametrize("name", ["dir.fsemb", "file/x.fsemb"])
+    def test_directory_or_file_parent_is_missing_file(self, tmp_path, name):
+        (tmp_path / "dir.fsemb").mkdir()
+        (tmp_path / "file").write_bytes(b"")
+        with pytest.raises(MissingFile):
+            load_embedding_set(tmp_path / name)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.fsemb"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
@@ -94,6 +137,31 @@ class TestSaveLoad:
         save_embedding_set(es, path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-1])
+        with pytest.raises(TruncatedPayload):
+            load_embedding_set(path)
+
+    def test_loaded_array_is_aligned_and_read_only(self, tmp_path):
+        data = np.random.default_rng(1).standard_normal((5, 3)).astype(np.float32)
+        save_embedding_set(make_set(data), tmp_path / "a.fsemb")
+        back = load_embedding_set(tmp_path / "a.fsemb")
+        assert back.data.flags.aligned and back.data.flags.c_contiguous
+        assert not back.data.flags.writeable
+
+    @pytest.mark.parametrize("count, dim", [(0, 3), (2, 0), (0, 0)])
+    def test_empty_header_is_bad_magic(self, tmp_path, count, dim):
+        path = tmp_path / "e.fsemb"
+        path.write_bytes(HEADER.pack(MAGIC, 1, count, dim, 1))
+        with pytest.raises(BadMagic):
+            load_embedding_set(path)
+
+    def test_oversized_header_fails_before_allocating(self, tmp_path, monkeypatch):
+        path = tmp_path / "big.fsemb"
+        path.write_bytes(HEADER.pack(MAGIC, 1, 1 << 40, 1 << 20, 1) + b"\x00" * 16)
+
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocated for an impossible header")
+
+        monkeypatch.setattr(np, "empty", no_alloc)
         with pytest.raises(TruncatedPayload):
             load_embedding_set(path)
 
@@ -117,6 +185,13 @@ class TestSaveLoad:
         with pytest.raises(IoFailure):
             save_embedding_set(es, tmp_path / "no" / "such" / "dir" / "x.fsemb")
 
+    @pytest.mark.parametrize("sidecar", [b"[1, 2]", b"\xff\xfe not utf-8", b"{broken"])
+    def test_unusable_sidecar_is_ignored(self, tmp_path, sidecar):
+        save_embedding_set(make_set([[1.0, 2.0]], pooling="last-token"), tmp_path / "s.fsemb")
+        (tmp_path / "s.fsemb.json").write_bytes(sidecar)
+        back = load_embedding_set(tmp_path / "s.fsemb")
+        assert back.manifest == Manifest(count=1, dim=2)
+
     def test_sidecar_written(self, tmp_path):
         es = make_set([[1.0, 2.0]], pooling="last-token")
         save_embedding_set(es, tmp_path / "s.fsemb")
@@ -124,6 +199,45 @@ class TestSaveLoad:
 
         side = json.loads((tmp_path / "s.fsemb.json").read_text())
         assert side["count"] == 1 and side["dim"] == 2 and side["pooling"] == "last-token"
+
+
+class TestLoadFuzz:
+    """Mutated headers and payload lengths end in a typed error, never a
+    traceback; the unmutated file round-trips bit-exactly."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        count=st.integers(1, 6),
+        dim=st.integers(1, 5),
+        field=st.sampled_from(["none", "magic", "version", "count", "dim", "code", "payload"]),
+        value=st.integers(0, 2**64 - 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_only_typed_errors_escape(self, tmp_path, count, dim, field, value, seed):
+        data = np.random.default_rng(seed).standard_normal((count, dim)).astype(np.float32)
+        fields = dict(magic=MAGIC, version=1, count=count, dim=dim, code=1)
+        payload = data.tobytes()
+        if field == "magic":
+            fields["magic"] = value.to_bytes(8, "little")
+        elif field in ("version", "dim"):
+            fields[field] = value % 2**32
+        elif field == "count":
+            fields["count"] = value
+        elif field == "code":
+            fields["code"] = value % 256
+        elif field == "payload":
+            cut = value % (2 * len(payload) + 2)
+            payload = payload[:cut] if cut <= len(payload) else payload + bytes(cut - len(payload))
+        path = tmp_path / "f.fsemb"
+        path.write_bytes(HEADER.pack(*fields.values()) + payload)
+        try:
+            back = load_embedding_set(path)
+        except DriftGaugeError:
+            assert field != "none"
+            return
+        assert back.data.shape == (fields["count"], fields["dim"])
+        assert back.data.tobytes() == payload
+        assert back.data.flags.aligned and not back.data.flags.writeable
 
 
 class TestMoments:
