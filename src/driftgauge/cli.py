@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, load_run_config
+from .config import FINITE, NON_NEGATIVE, OPEN_UNIT, POSITIVE, RunConfig, load_run_config, require
 from .descriptors import NUM_FEATURES, compute_delta
 from .errors import ConfigMismatch, DriftGaugeError, InvalidValue, MissingFile, ParseError
 from .evaluator import load_model, predict, save_model, train
@@ -114,6 +114,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     rc = _config_from(args)
+    alpha = rc.alpha if args.alpha is None else args.alpha
+    require("--alpha", OPEN_UNIT, alpha)
     model = load_model(args.model)
     if args.config or args.set or args.seed is not None:
         supplied = rc.swd_config().digest(rc.variance_floor)
@@ -128,7 +130,6 @@ def _cmd_predict(args) -> int:
     delta = compute_delta(src, tgt, model.swd_config, model.variance_floor)
     m_hat = predict(model.params, model.normalizer, delta)
 
-    alpha = args.alpha if args.alpha is not None else rc.alpha
     calib = load_meta_set(args.calib)
     residuals = [
         abs(predict(model.params, model.normalizer, inst.delta) - inst.accuracy)
@@ -217,6 +218,9 @@ def _cmd_adapt(args) -> int:
 
 def _cmd_budget_plan(args) -> int:
     rc = _config_from(args)
+    require("--n-pairs", NON_NEGATIVE, args.n_pairs)
+    if args.db_count is not None:
+        require("--db-count", NON_NEGATIVE, args.db_count)
     cm = rc.cost_model()
     plan = plan_budget(cm, args.n_pairs)
     payload = plan.to_dict()
@@ -281,20 +285,13 @@ def _numbers(raw: str, what: str, kind=int) -> list:
     return values
 
 
-def _require_positive(what: str, *values) -> None:
-    """InvalidValue at the first value that is not positive (NaN is not)."""
-    for value in values:
-        if not value > 0:
-            raise InvalidValue(f"{what} must be positive, got {value}")
-
-
 def _parse_sizes(raw: str) -> list[tuple[int, int, int]]:
     sizes = []
     for chunk in raw.split(";"):
         parts = _numbers(chunk.strip(), "--sizes chunk")
         if len(parts) != 3:
             raise ParseError(f"--sizes chunk {chunk!r}: expected n,m,D")
-        _require_positive(f"--sizes chunk {chunk!r}: every entry", *parts)
+        require(f"--sizes chunk {chunk!r}: every entry", POSITIVE, *parts)
         sizes.append(tuple(parts))
     return sizes
 
@@ -303,8 +300,8 @@ def _cmd_bench_swd(args) -> int:
     rc = _config_from(args)
     sizes = _parse_sizes(args.sizes)
     slice_counts = _numbers(args.slices, "--slices")
-    _require_positive("--trials", args.trials)
-    _require_positive("--slices: every entry", *slice_counts)
+    require("--trials", POSITIVE, args.trials)
+    require("--slices: every entry", POSITIVE, *slice_counts)
     k_pca = rc.get("swd", "k_pca")
     if args.mode == "hybrid" and min(slice_counts) <= k_pca:
         raise InvalidValue(f"--slices: hybrid mode needs more than k_pca={k_pca} slices")
@@ -315,7 +312,7 @@ def _cmd_bench_swd(args) -> int:
         trials=args.trials,
         seed=spawn_seed(rc.seed, 14),
         k_pca=k_pca,
-        quantiles=rc.get("swd", "quantiles"),
+        quantiles=rc.swd_config().quantiles,
     )
     if args.out_csv:
         result.write_csv(args.out_csv)
@@ -327,9 +324,9 @@ def _cmd_bench_swd(args) -> int:
 
 
 def _synth_spec(args, shift: float) -> GaussianWorkloadSpec:
-    _require_positive("--dim", args.dim)
-    _require_positive("--count", args.count)
-    _require_positive("--stddev", args.stddev)
+    require("--dim", POSITIVE, args.dim)
+    require("--count", POSITIVE, args.count)
+    require("--stddev", POSITIVE, args.stddev)
     mean = np.zeros(args.dim)
     mean[0] = shift
     return GaussianWorkloadSpec(
@@ -377,6 +374,9 @@ def _cmd_synth_family(args) -> int:
 
 def _cmd_synth_label(args) -> int:
     rc = _config_from(args)
+    require("--task-bias", FINITE, args.task_bias)
+    require("--noise-scale", NON_NEGATIVE, args.noise_scale)
+    require("--noise-scale", FINITE, args.noise_scale)
     train_set = load_embedding_set(args.train)
     if args.samples_dir:
         sample_paths = _files_in(args.samples_dir, ".fsemb")

@@ -6,75 +6,75 @@ floats and booleans.  Precedence is defaults, then file, then the
 ``DRIFTGAUGE_SEED`` environment variable (seed only), then explicit
 ``section.key=value`` overrides.  A single master seed derives every
 sub-seed, so re-running any command with the same inputs and seed reproduces
-its outputs byte for byte.
+its outputs byte for byte.  A value that breaks its rule, the dataclass's
+own or one in ``_RULES``, is InvalidValue when the setting is read.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, field
+import sys
+from dataclasses import asdict, dataclass, field, fields
+from typing import get_type_hints
 
 from .descriptors import SWDConfig
 from .errors import InvalidValue, ParseError, UnknownKey
 from .evaluator import TrainConfig
 from .meta_learning import ReptileConfig
-from .meta_set import DEFAULT_CAP_EXEC, DEFAULT_CAP_GEN, CostModel
+from .meta_set import DEFAULT_CAP_EXEC, DEFAULT_CAP_GEN, CostModel, line_records
 from .seeding import spawn_seed
 from .workload import DEFAULT_VARIANCE_FLOOR
 
 SEED_ENV_VAR = "DRIFTGAUGE_SEED"
 
-# section -> key -> (type, default).  The keys of the swd, train and reptile
-# sections are field names of SWDConfig, TrainConfig and ReptileConfig.
-_SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
-    "run": {
-        "seed": (int, 0),
-        "alpha": (float, 0.1),
-    },
-    "io": {
-        "variance_floor": (float, DEFAULT_VARIANCE_FLOOR),
-    },
-    "swd": {
-        "mode": (str, "hybrid"),
-        "k_pca": (int, 8),
-        "l_random": (int, 16),
-        "quantiles": (int, 256),
-        "pca_subsample": (int, 512),
-    },
-    "train": {
-        "batch_size": (int, 64),
-        "lr0": (float, 1e-4),
-        "eta_min": (float, 0.0),
-        "beta1": (float, 0.9),
-        "beta2": (float, 0.999),
-        "weight_decay": (float, 1e-3),
-        "max_epochs": (int, 20),
-        "dropout": (float, 0.2),
-        "patience": (int, 3),
-        "val_fraction": (float, 0.1),
-    },
-    "reptile": {
-        "inner_lr": (float, 1e-2),
-        "outer_step": (float, 0.3),
-        "inner_steps": (int, 5),
-        "meta_rounds": (int, 600),
-    },
-    "budget": {
-        "c_gen": (float, 0.00012),
-        "c_val": (float, 0.00003),
-        "c_exec": (float, 0.0004),
-        "gen_multiplier": (float, 1.05),
-        "val_multiplier": (float, 1.05),
-        "exec_multiplier": (float, 0.10),
-        "total": (float, 1000.0),
-        "cap_gen": (int, DEFAULT_CAP_GEN),
-        "cap_exec": (int, DEFAULT_CAP_EXEC),
-    },
+# Sections built from a dataclass: its fields but ``seed`` are the keys, with
+# their types and defaults (``total_budget`` is keyed ``total``); its seed is
+# spawned from run.seed under the stream tag given (CostModel has none).
+_SECTIONS = {"swd": (SWDConfig, 11), "train": (TrainConfig, 12),
+             "reptile": (ReptileConfig, 13), "budget": (CostModel, None)}
+_KEY_OF_FIELD = {"total_budget": "total"}
+
+# What a value must be, as (test, wording); NaN passes no test.
+POSITIVE = (lambda v: v > 0, "be positive")
+NON_NEGATIVE = (lambda v: v >= 0, "be non-negative")
+OPEN_UNIT = (lambda v: 0 < v < 1, "lie in (0, 1)")
+FINITE = (math.isfinite, "be finite")
+
+# The keys that no dataclass checks.
+_RULES = {
+    "run.alpha": OPEN_UNIT,
+    "io.variance_floor": POSITIVE,
+    "budget.cap_gen": NON_NEGATIVE,
+    "budget.cap_exec": NON_NEGATIVE,
 }
 
-# When mode switches to all_random and the user left the slice counts alone,
-# the all-random defaults apply instead of the hybrid ones.
-_ALL_RANDOM_DEFAULTS = {"k_pca": 0, "l_random": 64}
+
+def require(what: str, rule, *values) -> None:
+    """InvalidValue at the first of ``values`` that breaks ``rule``."""
+    test, must = rule
+    for value in values:
+        if not test(value):
+            raise InvalidValue(f"{what} must {must}, got {value}")
+
+
+def _keys(cls) -> dict[str, tuple[type, object]]:
+    """key -> (type, default) of ``cls``'s fields."""
+    types = get_type_hints(cls)
+    return {
+        _KEY_OF_FIELD.get(f.name, f.name): (types[f.name], f.default)
+        for f in fields(cls)
+        if f.name != "seed"
+    }
+
+
+# section -> key -> (type, default).
+_SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
+    "run": {"seed": (int, 0), "alpha": (float, 0.1)},
+    "io": {"variance_floor": (float, DEFAULT_VARIANCE_FLOOR)},
+    **{section: _keys(cls) for section, (cls, _) in _SECTIONS.items()},
+}
+_SCHEMA["budget"].update(cap_gen=(int, DEFAULT_CAP_GEN), cap_exec=(int, DEFAULT_CAP_EXEC))
 
 
 def _parse_scalar(raw: str, section: str, key: str):
@@ -99,6 +99,9 @@ def _parse_scalar(raw: str, section: str, key: str):
 
 def _coerce(value, want: type, section: str, key: str):
     if want is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        # An int too large for a float fails this comparison like inf and NaN.
+        if not abs(value) <= sys.float_info.max:
+            raise InvalidValue(f"{section}.{key}: expected a finite number, got {value!r}")
         return float(value)
     if want is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -117,7 +120,11 @@ class RunConfig:
     explicit: set = field(default_factory=set)
 
     def get(self, section: str, key: str):
-        return self.values[section][key]
+        value = self.values[section][key]
+        dotted = f"{section}.{key}"
+        if dotted in _RULES:
+            require(dotted, _RULES[dotted], value)
+        return value
 
     @property
     def seed(self) -> int:
@@ -125,53 +132,48 @@ class RunConfig:
 
     @property
     def alpha(self) -> float:
-        return self.values["run"]["alpha"]
+        return self.get("run", "alpha")
 
     @property
     def variance_floor(self) -> float:
-        return self.values["io"]["variance_floor"]
+        return self.get("io", "variance_floor")
+
+    def _build(self, section: str, **unset):
+        """The section's dataclass from its values, with ``unset`` in place
+        of the keys not set explicitly; a value the dataclass rejects is
+        InvalidValue naming the section."""
+        cls, tag = _SECTIONS[section]
+        kwargs = {
+            f.name: self.values[section][_KEY_OF_FIELD.get(f.name, f.name)]
+            for f in fields(cls)
+            if f.name != "seed"
+        }
+        kwargs.update((k, v) for k, v in unset.items() if f"{section}.{k}" not in self.explicit)
+        if tag is not None:
+            kwargs["seed"] = spawn_seed(self.seed, tag)
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            raise InvalidValue(f"[{section}] {exc}") from exc
 
     def swd_config(self) -> SWDConfig:
-        swd = dict(self.values["swd"])
-        if swd["mode"] == "all_random":
-            for key, default in _ALL_RANDOM_DEFAULTS.items():
-                if f"swd.{key}" not in self.explicit:
-                    swd[key] = default
-        return SWDConfig(**swd, seed=spawn_seed(self.seed, 11))
+        # In all_random mode the slice counts left unset are all_random()'s.
+        if self.values["swd"]["mode"] == "all_random":
+            return self._build("swd", **asdict(SWDConfig.all_random()))
+        return self._build("swd")
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(**self.values["train"], seed=spawn_seed(self.seed, 12))
+        return self._build("train")
 
     def reptile_config(self) -> ReptileConfig:
-        return ReptileConfig(**self.values["reptile"], seed=spawn_seed(self.seed, 13))
+        return self._build("reptile")
 
     def cost_model(self) -> CostModel:
-        b = self.values["budget"]
-        return CostModel(
-            c_gen=b["c_gen"],
-            c_val=b["c_val"],
-            c_exec=b["c_exec"],
-            gen_multiplier=b["gen_multiplier"],
-            val_multiplier=b["val_multiplier"],
-            exec_multiplier=b["exec_multiplier"],
-            total_budget=b["total"],
-        )
+        return self._build("budget")
 
     def provenance(self) -> dict:
         """Effective config block echoed into every output artifact."""
         return {"seed": self.seed, "config": {s: dict(kv) for s, kv in self.values.items()}}
-
-
-def _defaults() -> dict[str, dict[str, object]]:
-    return {section: {k: d for k, (_, d) in keys.items()} for section, keys in _SCHEMA.items()}
-
-
-def _check_key(section: str, key: str) -> type:
-    if section not in _SCHEMA:
-        raise UnknownKey(f"unknown section [{section}]")
-    if key not in _SCHEMA[section]:
-        raise UnknownKey(f"unknown key {section}.{key}")
-    return _SCHEMA[section][key][0]
 
 
 def load_run_config(
@@ -181,35 +183,37 @@ def load_run_config(
 ) -> RunConfig:
     """Assemble the effective configuration.
 
-    ``path`` may be None (defaults only).  ``overrides`` are
+    ``path`` may be None (defaults only); a missing file is MissingFile and
+    one that is not UTF-8 a ParseError.  ``overrides`` are
     ``section.key=value`` strings, applied last.
     """
-    values = _defaults()
+    values = {section: {k: d for k, (_, d) in keys.items()} for section, keys in _SCHEMA.items()}
     explicit: set[str] = set()
 
+    def put(section: str, key: str, raw: str) -> None:
+        if section not in _SCHEMA:
+            raise UnknownKey(f"unknown section [{section}]")
+        if key not in _SCHEMA[section]:
+            raise UnknownKey(f"unknown key {section}.{key}")
+        want = _SCHEMA[section][key][0]
+        values[section][key] = _coerce(_parse_scalar(raw, section, key), want, section, key)
+        explicit.add(f"{section}.{key}")
+
     if path is not None:
-        if not os.path.isfile(path):
-            raise ParseError(f"config file not found: {path}")
         section = "run"
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if line.startswith("[") and line.endswith("]"):
-                    section = line[1:-1].strip()
-                    if section not in _SCHEMA:
-                        raise UnknownKey(f"unknown section [{section}] at line {lineno}")
-                    continue
-                if "=" not in line:
-                    raise ParseError(f"line {lineno}: expected key = value")
-                key, raw = line.split("=", 1)
-                key = key.strip()
-                want = _check_key(section, key)
-                values[section][key] = _coerce(
-                    _parse_scalar(raw, section, key), want, section, key
-                )
-                explicit.add(f"{section}.{key}")
+        for lineno, line in line_records(path, str):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if line.startswith("[") and line.endswith("]"):
+                section = line[1:-1].strip()
+                if section not in _SCHEMA:
+                    raise UnknownKey(f"unknown section [{section}] at line {lineno}")
+                continue
+            if "=" not in line:
+                raise ParseError(f"line {lineno}: expected key = value")
+            key, raw = line.split("=", 1)
+            put(section, key.strip(), raw)
 
     env = os.environ if env is None else env
     if SEED_ENV_VAR in env:
@@ -220,15 +224,10 @@ def load_run_config(
         explicit.add("run.seed")
 
     for item in overrides or []:
-        if "=" not in item:
+        dotted, eq, raw = item.partition("=")
+        section, dot, key = dotted.partition(".")
+        if not (eq and dot):
             raise ParseError(f"override {item!r}: expected section.key=value")
-        dotted, raw = item.split("=", 1)
-        if "." not in dotted:
-            raise ParseError(f"override {item!r}: expected section.key=value")
-        section, key = dotted.split(".", 1)
-        section, key = section.strip(), key.strip()
-        want = _check_key(section, key)
-        values[section][key] = _coerce(_parse_scalar(raw, section, key), want, section, key)
-        explicit.add(f"{section}.{key}")
+        put(section.strip(), key.strip(), raw)
 
     return RunConfig(values=values, explicit=explicit)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -91,14 +91,7 @@ class SWDConfig:
         return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "l_random": self.l_random,
-            "k_pca": self.k_pca,
-            "quantiles": self.quantiles,
-            "pca_subsample": self.pca_subsample,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SWDConfig":

@@ -43,10 +43,10 @@ CHARGE_KINDS = ("gen", "val", "exec")
 
 
 def _to_units(cost: float, what: str) -> int:
-    units = round(cost / COST_UNIT)
-    if abs(cost - units * COST_UNIT) > 1e-12:
+    scaled = cost / COST_UNIT
+    if not math.isfinite(scaled) or abs(cost - round(scaled) * COST_UNIT) > 1e-12:
         raise InvalidValue(f"{what}={cost} is not representable in {COST_UNIT} units")
-    return int(units)
+    return round(scaled)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,77 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from driftgauge.cli import run
 from driftgauge.config import load_run_config
-from driftgauge.errors import InvalidValue, ParseError, UnknownKey
+from driftgauge.errors import DriftGaugeError, InvalidValue, ParseError, UnknownKey
+
+# Pieces of config text: known and unknown keys, and values of every kind,
+# including the non-finite, the oversized and those the dataclasses reject.
+_KEYS = ["seed", "alpha", "variance_floor", "mode", "k_pca", "l_random", "quantiles",
+         "pca_subsample", "lr0", "dropout", "val_fraction", "outer_step", "inner_steps",
+         "total", "c_gen", "cap_gen", "cap_exec", "total_budget", "nosuch", ""]
+_SECTION_NAMES = ["run", "io", "swd", "train", "reptile", "budget", "nosuch", ""]
+_VALUES = st.one_of(
+    st.sampled_from(["0", "1", "-1", "0.5", "2", "1e-9", "1e305", "1e400", "-1e400", "nan",
+                     "inf", "-inf", "1" * 400, "1" * 5000, "true", "'all_random'", "hybrid",
+                     '"', "''", "", "0x10", "1_000"]),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.text(max_size=12),
+)
+_OVERRIDES = st.one_of(
+    st.builds(lambda s, k, v: f"{s}.{k}={v}", st.sampled_from(_SECTION_NAMES),
+              st.sampled_from(_KEYS), _VALUES),
+    st.text(max_size=20),
+)
+_FILE_LINES = st.one_of(
+    st.builds(lambda s: f"[{s}]", st.sampled_from(_SECTION_NAMES)),
+    st.builds(lambda k, v: f"{k} = {v}", st.sampled_from(_KEYS), _VALUES),
+    st.text(max_size=20),
+)
+_FILE_BYTES = st.one_of(
+    st.lists(_FILE_LINES, max_size=8).map(lambda lines: "\n".join(lines).encode()),
+    st.binary(max_size=64),
+)
 
 
 class TestRunConfig:
+    # Every accepted key with its default; the default's type is the key's type.
+    DEFAULTS = {
+        "run": {"seed": 0, "alpha": 0.1},
+        "io": {"variance_floor": 1e-08},
+        "swd": {"mode": "hybrid", "k_pca": 8, "l_random": 16, "quantiles": 256,
+                "pca_subsample": 512},
+        "train": {"batch_size": 64, "lr0": 0.0001, "eta_min": 0.0, "beta1": 0.9,
+                  "beta2": 0.999, "weight_decay": 0.001, "max_epochs": 20, "dropout": 0.2,
+                  "patience": 3, "val_fraction": 0.1},
+        "reptile": {"inner_lr": 0.01, "outer_step": 0.3, "inner_steps": 5, "meta_rounds": 600},
+        "budget": {"c_gen": 0.00012, "c_val": 3e-05, "c_exec": 0.0004, "gen_multiplier": 1.05,
+                   "val_multiplier": 1.05, "exec_multiplier": 0.1, "total": 1000.0,
+                   "cap_gen": 160, "cap_exec": 40},
+    }
+
+    def test_defaults_and_value_types_pinned(self):
+        values = load_run_config(None, [], env={}).values
+        assert values == self.DEFAULTS
+        for section, keys in self.DEFAULTS.items():
+            for key, default in keys.items():
+                assert type(values[section][key]) is type(default), f"{section}.{key}"
+                # An integer literal is taken by int and float keys, as that type.
+                if isinstance(default, str):
+                    with pytest.raises(InvalidValue):
+                        load_run_config(None, [f"{section}.{key}=1"], env={})
+                else:
+                    got = load_run_config(None, [f"{section}.{key}=1"], env={}).values[section][key]
+                    assert type(got) is type(default) and got == 1, f"{section}.{key}"
+        swd = load_run_config(None, ["swd.mode=all_random"], env={}).swd_config()
+        assert (swd.k_pca, swd.l_random, swd.quantiles, swd.pca_subsample) == (0, 64, 256, 512)
+
     def test_empty_file_gives_defaults(self, tmp_path):
         path = tmp_path / "empty.cfg"
         path.write_text("")
@@ -66,6 +129,30 @@ class TestRunConfig:
         assert a.swd_config().seed == b.swd_config().seed
         assert a.swd_config().seed != c.swd_config().seed
         assert a.train_config().seed != a.swd_config().seed
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blob=st.one_of(st.none(), _FILE_BYTES), overrides=st.lists(_OVERRIDES, max_size=4))
+    def test_only_typed_errors_escape(self, tmp_path, blob, overrides):
+        """Whatever the file bytes and overrides, loading and reading every
+        setting either succeeds or raises a DriftGaugeError."""
+        path = None
+        if blob is not None:
+            path = tmp_path / "fuzz.cfg"
+            path.write_bytes(blob)
+        try:
+            rc = load_run_config(path, overrides, env={})
+        except DriftGaugeError:
+            return
+        for kv in rc.values.values():
+            assert all(math.isfinite(v) for v in kv.values() if isinstance(v, float))
+        readers = [rc.swd_config, rc.train_config, rc.reptile_config, rc.cost_model,
+                   lambda: rc.alpha, lambda: rc.variance_floor,
+                   lambda: rc.get("budget", "cap_gen"), lambda: rc.get("budget", "cap_exec")]
+        for read in readers:
+            try:
+                read()
+            except DriftGaugeError:
+                pass
 
 
 @pytest.fixture
@@ -450,3 +537,76 @@ class TestCliWorkflow:
         assert cli(*a, "--out", workdir / "b.fsemb") == 0
         assert (workdir / "a.fsemb").read_bytes() == (workdir / "b.fsemb").read_bytes()
         assert (workdir / "a.fsemb.json").read_bytes() == (workdir / "b.fsemb.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A source, a labelled 12-set family and a model trained on it, at seed 3."""
+    d = tmp_path_factory.mktemp("trained")
+    seed = ["--seed", 3]
+    assert cli("synth", "gen", "--dim", 4, "--count", 300, "--out", d / "src.fsemb", *seed) == 0
+    assert cli("synth", "family", "--dim", 4, "--count", 200, "--shifts",
+               "0,0.25,0.5,0.75,1,1.25,1.5,1.75,2,2.5,3,4", "--out-dir", d / "fam", *seed) == 0
+    assert cli("synth", "label", "--train", d / "src.fsemb", "--samples-dir", d / "fam",
+               "--out", d / "meta.jsonl", *seed) == 0
+    assert cli("train", "--meta-set", d / "meta.jsonl", "--out", d / "model.fsmlp", *seed) == 0
+    (d / "charges.jsonl").write_text('{"db_id": "a", "kind": "gen", "count": 2}\n')
+    (d / "latin1.cfg").write_bytes(b"[swd]\nmode = \xe9\n")
+    return d
+
+
+_PREDICT = ["predict", "--model", "{d}/model.fsmlp", "--source", "{d}/src.fsemb",
+            "--target", "{d}/fam/shift_003.fsemb", "--calib", "{d}/meta.jsonl", "--out", "{d}/x"]
+_LABEL = ["synth", "label", "--train", "{d}/src.fsemb", "--samples-dir", "{d}/fam", "--out", "{d}/x"]
+_LEDGER = ["budget", "ledger", "--charges", "{d}/charges.jsonl", "--out", "{d}/x"]
+_COMPUTE = ["descriptors", "compute", "--source", "{d}/src.fsemb",
+            "--target", "{d}/fam/shift_003.fsemb", "--out", "{d}/x"]
+
+
+class TestBadSettingOrFlag:
+    """A setting or flag value that breaks its rule exits 1 with a typed JSON
+    payload and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "argv, error, detail",
+        [
+            (_PREDICT + ["--alpha", "2"], "InvalidValue", "--alpha"),
+            (_PREDICT + ["--set", "run.alpha=0"], "InvalidValue", "run.alpha"),
+            (_COMPUTE + ["--set", "io.variance_floor=0"], "InvalidValue", "io.variance_floor"),
+            (_COMPUTE + ["--set", "swd.k_pca=0"], "InvalidValue", "[swd]"),
+            (["train", "--meta-set", "{d}/meta.jsonl", "--out", "{d}/x", "--set", "train.dropout=1"],
+             "InvalidValue", "[train]"),
+            (["train", "--meta-set", "{d}/meta.jsonl", "--out", "{d}/x", "--set", "train.lr0=nan"],
+             "InvalidValue", "train.lr0"),
+            (["budget", "plan", "--n-pairs", "-1"], "InvalidValue", "--n-pairs"),
+            (["budget", "plan", "--n-pairs", "5", "--db-count", "-2"], "InvalidValue", "--db-count"),
+            (["budget", "plan", "--n-pairs", "5", "--db-count", "2", "--set", "budget.cap_exec=-1"],
+             "InvalidValue", "budget.cap_exec"),
+            (_LEDGER + ["--set", "budget.cap_gen=-1"], "InvalidValue", "budget.cap_gen"),
+            (_LEDGER + ["--set", "budget.total=nan"], "InvalidValue", "budget.total"),
+            (_LEDGER + ["--set", "budget.total=inf"], "InvalidValue", "budget.total"),
+            (_LEDGER + ["--set", "budget.total=1e305"], "InvalidValue", "total_budget"),
+            (_LABEL + ["--noise-scale", "-1"], "InvalidValue", "--noise-scale"),
+            (_LABEL + ["--noise-scale", "inf"], "InvalidValue", "--noise-scale"),
+            (_LABEL + ["--task-bias", "nan"], "InvalidValue", "--task-bias"),
+            (["bench", "swd", "--sizes", "20,20,3", "--slices", "2", "--set", "swd.quantiles=0"],
+             "InvalidValue", "[swd]"),
+            (_COMPUTE + ["--config", "{d}/absent.cfg"], "MissingFile", "absent.cfg"),
+            (_COMPUTE + ["--config", "{d}/latin1.cfg"], "ParseError", "not UTF-8"),
+        ],
+        ids=["predict-alpha-flag", "predict-alpha-setting", "variance-floor-0", "swd-k-pca-0",
+             "train-dropout-1", "train-lr0-nan", "plan-negative-pairs", "plan-negative-db-count",
+             "plan-negative-cap", "ledger-negative-cap", "ledger-total-nan", "ledger-total-inf",
+             "ledger-total-overflows-units", "label-negative-noise", "label-infinite-noise",
+             "label-nan-task-bias",
+             "bench-quantiles-0", "missing-config", "non-utf8-config"],
+    )
+    def test_exits_1(self, trained, capsys, argv, error, detail):
+        capsys.readouterr()
+        assert cli(*(a.format(d=trained) for a in argv), "--seed", 3) == 1
+        captured = capsys.readouterr()
+        payload = json.loads(captured.err.strip())
+        assert payload["error"] == error
+        assert detail in payload["message"]
+        assert captured.out == ""
+        assert not (trained / "x").exists()
