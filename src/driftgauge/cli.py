@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .config import FINITE, NON_NEGATIVE, OPEN_UNIT, POSITIVE, RunConfig, load_run_config, require
 from .descriptors import NUM_FEATURES, compute_delta
-from .errors import ConfigMismatch, DriftGaugeError, InvalidValue, MissingFile, ParseError
+from .errors import ConfigMismatch, DriftGaugeError, InvalidValue, IoFailure, MissingFile, ParseError
 from .evaluator import load_model, predict, save_model, train
 from .meta_learning import MetaTask, adapt_to_model, meta_train
 from .meta_set import (
@@ -361,7 +361,10 @@ def _cmd_synth_family(args) -> int:
     if shifts != sorted(shifts):
         raise InvalidValue(f"--shifts must be ascending, got {args.shifts!r}")
     base = _synth_spec(args, 0.0)
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create {args.out_dir}: {exc}") from exc
     written = []
     for i, spec in enumerate(shift_family(base, shifts)):
         es = _stamp_seed(gen_gaussian_workload(spec, spawn_seed(rc.seed, 16, i)), rc)

@@ -9,8 +9,8 @@ numpy arrays with explicit, hand-derived gradients so the whole train/predict
 pipeline is a pure function of (data, config, seed).
 
 Parameters live in one float64 vector with per-tensor views, so updates and
-serialization are whole-vector operations; inference runs each row through one
-single-row kernel, so ``predict_many`` equals per-row ``predict`` bit for bit.
+serialization are whole-vector operations.  ``predict`` runs one row through
+``_forward`` and ``predict_many`` feeds it ``(B, 1, D)``: the same bits.
 Models serialize to ``.fsmlp``: magic + a JSON header (shapes, normalizer, train
 report, descriptor config) + the flat vector as float32, which is the
 unchanged block layout of every tensor in declaration order.
@@ -31,7 +31,6 @@ from .errors import (
     BadMagic,
     ConfigMismatch,
     InsufficientData,
-    IoFailure,
     MissingFile,
     ShapeMismatch,
     TruncatedPayload,
@@ -43,6 +42,7 @@ HIDDEN_DIMS = (256, 128, 64)
 LN_EPS = 1e-5
 ADAM_EPS = 1e-8
 STD_FLOOR = 1e-8
+_FOREIGN_CONFIG = "descriptor was computed under a different configuration than the model"
 
 MODEL_MAGIC = b"FSMLP\x00\x00\x00"
 MODEL_VERSION = 1
@@ -141,23 +141,26 @@ def dropout_masks(
 
 
 def _forward(params: MLPParams, x: np.ndarray, masks, rate: float, want_caches: bool):
-    """``x`` is ``(B, D)`` in training (one GEMM per layer) or ``(B, 1, D)`` in
-    inference, where each row takes the single-row product whatever B is.
-    Layer norm is numpy's mean/var arithmetic without their Python wrappers."""
+    """``x`` is ``(B, D)`` in training (one GEMM per layer), or ``(B, 1, D)``
+    or one ``(D,)`` row in inference, where a row takes the same single-row
+    product and ufuncs either way.  Layer norm is numpy's mean/var arithmetic
+    without their Python wrappers, in place; a row's mean and var are scalars."""
     hidden = len(params.layer_dims) - 2
     keep = 1.0 - rate
     caches = []
     a = x
     for i in range(hidden):
-        z = a @ params.weights[i] + params.biases[i]
-        width = z.shape[-1]
-        centred = z - np.add.reduce(z, axis=-1, keepdims=True) / width
-        var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / width
+        z = a @ params.weights[i]
+        z += params.biases[i]
+        width, batched = z.shape[-1], z.ndim > 1
+        z -= np.add.reduce(z, axis=-1, keepdims=batched) / width
+        var = np.add.reduce(z * z, axis=-1, keepdims=batched) / width
         istd = 1.0 / np.sqrt(var + LN_EPS)
-        xhat = centred * istd
-        y = xhat * params.ln_gain[i] + params.ln_offset[i]
+        z *= istd
+        y = z * params.ln_gain[i]
+        y += params.ln_offset[i]
         if want_caches:
-            caches.append((a, xhat, istd, y))
+            caches.append((a, z, istd, y))
         a = np.maximum(y, 0.0)
         a = a * masks[i] / keep if masks is not None else a
     preds = (a @ params.weights[-1] + params.biases[-1]).ravel()
@@ -457,14 +460,13 @@ def train(meta_set, cfg: TrainConfig) -> tuple[MLPParams, Normalizer, TrainRepor
 
 
 def predict_many(params: MLPParams, norm: Normalizer, deltas) -> np.ndarray:
-    """Accuracy estimates in [0, 1], shape ``(len(deltas),)``, each
-    bit-identical to :func:`predict` on that descriptor alone.  Refuses
-    descriptors computed under another configuration than the normalizer's.
+    """Accuracy estimates in [0, 1], shape ``(len(deltas),)``, run through
+    :func:`_forward` as ``(B, 1, D)`` and so bit-identical to :func:`predict`
+    on each descriptor alone.  Refuses descriptors computed under another
+    configuration than the normalizer's.
     """
     if any(d.config_digest != norm.config_digest for d in deltas):
-        raise ConfigMismatch(
-            "descriptor was computed under a different configuration than the model"
-        )
+        raise ConfigMismatch(_FOREIGN_CONFIG)
     feats = np.array([d.features() for d in deltas], dtype=np.float64)
     x = norm.apply(feats.reshape(len(deltas), NUM_FEATURES))
     if x.shape[1] != params.input_dim:
@@ -474,8 +476,16 @@ def predict_many(params: MLPParams, norm: Normalizer, deltas) -> np.ndarray:
 
 
 def predict(params: MLPParams, norm: Normalizer, delta: ShiftDescriptor) -> float:
-    """Estimate accuracy for one shift descriptor; see :func:`predict_many`."""
-    return float(predict_many(params, norm, (delta,))[0])
+    """Estimate accuracy for one shift descriptor: its ``(D,)`` row through
+    :func:`_forward`, clamped with ``np.clip``'s bits (``max(p, 0.0)`` keeps
+    a ``-0.0``).  Refuses what :func:`predict_many` refuses."""
+    if delta.config_digest != norm.config_digest:
+        raise ConfigMismatch(_FOREIGN_CONFIG)
+    x = norm.apply(delta.features())
+    if x.shape[0] != params.input_dim:
+        raise ShapeMismatch(f"model expects {params.input_dim} features, got {x.shape[0]}")
+    p = float(_forward(params, x, None, 0.0, want_caches=False)[0][0])
+    return min(max(p, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -522,10 +532,7 @@ def save_model(
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     block = params.flat.astype("<f4").tobytes()
     blob = _MODEL_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, len(header_bytes)) + header_bytes + block
-    try:
-        _atomic_write(path, blob)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    _atomic_write(path, blob)
 
 
 def load_model(path: str | os.PathLike) -> LoadedModel:
@@ -543,7 +550,7 @@ def load_model(path: str | os.PathLike) -> LoadedModel:
         raise BadMagic(f"{path}: unsupported version {version}")
     try:
         header = json.loads(raw[_MODEL_HEADER.size : _MODEL_HEADER.size + header_len])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise BadMagic(f"{path}: corrupt header") from exc
 
     dims = header.get("layer_dims") if isinstance(header, dict) else None
@@ -572,4 +579,8 @@ def load_model(path: str | os.PathLike) -> LoadedModel:
         raise BadMagic(f"{path}: invalid header field: {exc!r}") from exc
     if model.normalizer.feature_mean.shape != (layer_dims[0],):
         raise BadMagic(f"{path}: normalizer does not fit input dimension {layer_dims[0]}")
+    if not 0 < model.variance_floor < math.inf:
+        raise BadMagic(f"{path}: variance_floor {model.variance_floor} is not positive and finite")
+    if not np.isfinite(params.flat).all():
+        raise BadMagic(f"{path}: non-finite value in the parameter block")
     return model

@@ -191,11 +191,8 @@ def save_embedding_set(es: EmbeddingSet, path: str | os.PathLike) -> None:
     header = _HEADER.pack(MAGIC, VERSION, es.n, es.dim, _DTYPE_CODES[es.manifest.dtype])
     payload = es.data.astype("<f4", copy=False).tobytes(order="C")
     sidecar = json.dumps(es.manifest.to_dict(), indent=2, sort_keys=True) + "\n"
-    try:
-        _atomic_write(path, header + payload)
-        _atomic_write(path + ".json", sidecar.encode("utf-8"))
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    _atomic_write(path, header + payload)
+    _atomic_write(path + ".json", sidecar.encode("utf-8"))
 
 
 def load_embedding_set(path: str | os.PathLike) -> EmbeddingSet:
@@ -262,16 +259,20 @@ def _read_sidecar(path: str, count: int, dim: int, dtype: str) -> Manifest:
 
 
 def _atomic_write(path: str, blob: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    """Write ``blob`` to a temp file beside ``path``, then rename it over
+    ``path``.  Any OSError, such as a missing directory or a ``path`` that is
+    a directory, is IoFailure, and leaves no temp file behind."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "wb") as fh:
             fh.write(blob)
         os.replace(tmp, path)
-    except OSError:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def moments(es: EmbeddingSet, variance_floor: float = DEFAULT_VARIANCE_FLOOR) -> MomentSummary:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from driftgauge.cli import run
@@ -286,6 +286,27 @@ class TestCliWorkflow:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "BadMagic"
         assert "model.fsmlp" in payload["message"]
+
+    @pytest.mark.parametrize("floor", [0.0, -1e-8, math.inf, math.nan])
+    def test_predict_model_variance_floor_not_positive_exits_1(self, workdir, capsys, floor):
+        self._untrained_predict_inputs(workdir)
+        self._rewrite_model_header(workdir / "model.fsmlp", lambda h: h.update(variance_floor=floor))
+        assert self._predict(workdir) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "BadMagic" and "variance_floor" in payload["message"]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_predict_model_with_non_finite_parameter_exits_1(self, workdir, capsys, value):
+        from driftgauge import load_model, save_model
+
+        self._untrained_predict_inputs(workdir)
+        model = load_model(workdir / "model.fsmlp")
+        model.params.weights[1][3, 7] = value
+        save_model(workdir / "model.fsmlp", model.params, model.normalizer,
+                   swd_config=model.swd_config)
+        assert self._predict(workdir) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "BadMagic" and "non-finite" in payload["message"]
 
     @pytest.mark.parametrize("flag", ["--meta-set", "--probe", "--calib", "--charges"])
     def test_missing_jsonl_input_exits_1(self, workdir, capsys, flag):
@@ -610,3 +631,62 @@ class TestBadSettingOrFlag:
         assert detail in payload["message"]
         assert captured.out == ""
         assert not (trained / "x").exists()
+
+
+class TestWriteFailure:
+    """An output path that cannot be written exits 1 with an IoFailure naming
+    it, prints nothing on stdout and leaves no temp file behind."""
+
+    @pytest.mark.parametrize(
+        "argv, detail",
+        [
+            (_PREDICT[:-1] + ["{o}/nodir/x.json"], "{o}/nodir/x.json"),
+            (_PREDICT[:-1] + ["{o}/adir"], "{o}/adir"),
+            (["synth", "family", "--dim", "3", "--count", "5", "--shifts", "0,1",
+              "--out-dir", "{o}/afile"], "{o}/afile"),
+        ],
+        ids=["predict-out-in-missing-dir", "predict-out-is-a-dir", "family-out-dir-is-a-file"],
+    )
+    def test_exits_1(self, trained, tmp_path, capsys, argv, detail):
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("")
+        capsys.readouterr()
+        assert cli(*(a.format(d=trained, o=tmp_path) for a in argv), "--seed", 3) == 1
+        captured = capsys.readouterr()
+        payload = json.loads(captured.err.strip())
+        assert payload["error"] == "IoFailure"
+        assert detail.format(o=tmp_path) in payload["message"]
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+        assert list((tmp_path / "adir").iterdir()) == []
+
+
+class TestFuzzedModelFile:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(truncate=st.booleans(), in_header=st.booleans(), at=st.integers(0, 2**20),
+           mask=st.integers(1, 255))
+    @example(truncate=False, in_header=True, at=12, mask=64)  # header length runs into the block
+    def test_only_typed_errors_escape_predict(self, trained, tmp_path, capsys,
+                                              truncate, in_header, at, mask):
+        """Truncations and single-byte flips of a trained ``.fsmlp`` (half of
+        the flips inside the magic, version, length and JSON header) either
+        predict or exit 1 with a typed JSON payload."""
+        import struct
+
+        blob = (trained / "model.fsmlp").read_bytes()
+        header_end = struct.calcsize("<8sIQ") + struct.unpack_from("<8sIQ", blob)[2]
+        if truncate:
+            fuzzed = blob[: at % len(blob)]
+        else:
+            fuzzed = bytearray(blob)
+            fuzzed[at % (header_end if in_header else len(blob))] ^= mask
+        (tmp_path / "m.fsmlp").write_bytes(bytes(fuzzed))
+        argv = [a.format(d=trained) for a in _PREDICT[:-1]] + [str(tmp_path / "r.json")]
+        argv[argv.index("--model") + 1] = str(tmp_path / "m.fsmlp")
+        capsys.readouterr()
+        code = run(argv + ["--seed", "3"])
+        if code == 1:
+            assert "error" in json.loads(capsys.readouterr().err.strip())
+        else:
+            assert code == 0

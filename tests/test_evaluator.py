@@ -305,6 +305,28 @@ class TestPredict:
         with pytest.raises(ConfigMismatch):
             predict(params, norm, foreign)
 
+    @pytest.mark.parametrize("bias", [-0.5, 0.3, 1.7])
+    def test_clamp_gives_np_clip_bits(self, bias):
+        """Zero hidden-to-head weights make the raw output the head bias."""
+        params = perturbed(20)
+        params.weights[-1][:] = 0.0
+        params.biases[-1][0] = bias
+        norm = Normalizer(np.zeros(5), np.ones(5), "synthdigest")
+        got = predict(params, norm, synthetic_instances(1, seed=21)[0].delta)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.clip(np.float64(bias), 0.0, 1.0).tobytes()
+
+    @pytest.mark.parametrize("raw", [-0.0, 0.0, -1e-300, 1.0 + 2**-52, math.nan])
+    def test_clamp_edge_values_give_np_clip_bits(self, monkeypatch, raw):
+        """Raw outputs the head cannot be steered to: a ``-0.0`` stays
+        ``-0.0`` and a NaN stays NaN, as under ``np.clip``."""
+        import driftgauge.evaluator as ev
+
+        monkeypatch.setattr(ev, "_forward", lambda *args, **kw: (np.array([raw]), None, []))
+        norm = Normalizer(np.zeros(5), np.ones(5), "synthdigest")
+        got = predict(perturbed(20), norm, synthetic_instances(1, seed=21)[0].delta)
+        assert np.float64(got).tobytes() == np.clip(np.float64(raw), 0.0, 1.0).tobytes()
+
 
 class TestModelFile:
     def test_round_trip_and_reserialization_invariance(self, tmp_path):
@@ -483,6 +505,18 @@ class TestPredictMany:
         deltas[2] = synthetic_instances(1, seed=18, digest="foreign")[0].delta
         with pytest.raises(ConfigMismatch):
             predict_many(params, norm, deltas)
+
+    def test_bit_identical_to_predict_far_from_the_normalizer(self):
+        """1000 rows whose features lie up to 1e6 normalizer stds from its
+        mean; the first 100 are all at that scale."""
+        params, norm = self.model()
+        rng = np.random.default_rng(19)
+        scales = np.concatenate([np.full(100, 1e6), 10.0 ** rng.uniform(-3, 6, 900)])
+        feats = np.abs(norm.feature_mean
+                       + scales[:, None] * norm.feature_std * rng.standard_normal((1000, 5)))
+        deltas = [ShiftDescriptor(*map(float, f), config_digest="synthdigest") for f in feats]
+        assert np.array_equal(predict_many(params, norm, deltas),
+                              [predict(params, norm, d) for d in deltas])
 
 
 def write_pre_flat_model(path, params, norm, report, seed):
