@@ -20,7 +20,6 @@ from .descriptors import (
     frechet_descriptor,
     hybrid_swd,
     mahalanobis_descriptor,
-    pca_directions,
     random_directions,
     sliced_w2,
     sliced_w2_per_slice,

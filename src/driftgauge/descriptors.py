@@ -31,6 +31,7 @@ from .workload import (
     EmbeddingSet,
     MomentSummary,
     _float64_blocks,
+    _memo,
     check_same_dim,
     moments,
 )
@@ -269,65 +270,24 @@ def _principal_directions(x: np.ndarray, k: int, rng: np.random.Generator) -> tu
     return dirs, effective
 
 
-def _pca_basis(
-    x: np.ndarray,
-    k_pca: int,
-    rng: np.random.Generator,
-    randoms: tuple[np.ndarray, ...] = (),
-    fixed: int = 0,
-) -> ProjectionBasis:
-    """The basis for centered float64 rows ``x``: the range finder's top
-    ``min(k_pca, *x.shape)`` principal directions, then the rows of each
-    array in ``randoms``, the last ``fixed`` of them independent of ``x``.
-    Every direction past the effective rank is tagged random, and the basis
-    is ``rank_deficient`` when fewer than ``k_pca`` directions are
-    principal."""
-    dirs, effective = _principal_directions(x, min(k_pca, *x.shape), rng)
-    dirs = np.vstack([dirs, *randoms])
-    return ProjectionBasis(
-        directions=dirs,
-        provenance=("pca",) * effective + ("random",) * (dirs.shape[0] - effective),
-        rank_deficient=effective < k_pca,
-        fixed=fixed,
-    )
-
-
-def pca_directions(joint: EmbeddingSet, k: int, seed: int = 0) -> ProjectionBasis:
-    """Top-k principal directions of the centered joint cloud, via a
-    randomized range finder with oversampling and power iterations.
-
-    If the data has fewer than k non-negligible singular values, the basis is
-    padded with random unit directions and flagged ``rank_deficient``.
-    """
-    n, dim = joint.n, joint.dim
-    if not 1 <= k <= min(n, dim):
-        raise ValueError(f"k must satisfy 1 <= k <= min(n, D) = {min(n, dim)}")
-    x = joint.data.astype(np.float64)
-    x -= x.mean(axis=0)
-    return _pca_basis(x, k, rng_for(seed))
-
-
 def _sorted_projections(
-    data: np.ndarray, *direction_sets: np.ndarray, sums: np.ndarray | None = None
-) -> list[np.ndarray]:
-    """(L, n) projections of every row onto each set of directions, each
-    slice sorted.  Each float64 row block is cast once and projected onto
-    every set in a GEMM of its own, so a set's result does not depend on
-    which other sets share the pass.  ``sums``, if given, also receives the
-    column sums of the rows, so the same pass yields their mean."""
-    projs = [np.empty((dirs.shape[0], data.shape[0])) for dirs in direction_sets]
+    data: np.ndarray, dirs: np.ndarray, sums: np.ndarray | None = None
+) -> np.ndarray:
+    """(L, n) projections of every row onto ``dirs``, each slice sorted,
+    computed one float64 row block at a time.  ``sums``, if given, also
+    receives the column sums of the rows, so the same pass yields their
+    mean."""
+    proj = np.empty((dirs.shape[0], data.shape[0]))
     start = 0
     for block in _float64_blocks(data):
         stop = start + block.shape[0]
-        for dirs, proj in zip(direction_sets, projs):
-            np.matmul(dirs, block.T, out=proj[:, start:stop])
+        np.matmul(dirs, block.T, out=proj[:, start:stop])
         if sums is not None:
             sums += block.sum(axis=0)
         start = stop
     # (L, n) layout keeps each slice contiguous for the sort.
-    for proj in projs:
-        proj.sort(axis=1)
-    return projs
+    proj.sort(axis=1)
+    return proj
 
 
 def _centred_projections(data: np.ndarray, dirs: np.ndarray, centre: np.ndarray) -> np.ndarray:
@@ -385,35 +345,33 @@ def _quantile_curves(sorted_proj: np.ndarray, quantiles: int) -> np.ndarray:
 def _source_curves(src: EmbeddingSet, basis: ProjectionBasis, quantiles: int) -> np.ndarray:
     """The source's (L, Q) quantile curves on every slice of ``basis``.
 
-    The curves on the basis's ``fixed`` rows are memoized on ``src``, keyed
-    by those rows' bytes and ``quantiles``.  The cold pass that fills them
-    projects in float64 and also sums the rows; the mean, cast to float32,
-    is memoized on ``src`` as its centre.  The target-dependent rows are
-    then projected through ``_centred_projections``, a float32 pass on
-    rows centred on that centre, on a cold and a warm call alike, so a hit
-    returns the very bits a miss computes.  Against the float64 formula the
-    relative error in ``sd_sw`` stays near 1e-8 on unit-scale data, offset
-    or not.
+    The curves on the basis's ``fixed`` rows are memoized on ``src`` (see
+    ``workload._memo``).  The cold pass that fills them projects in float64
+    and also sums the rows; the mean, cast to float32, goes in the same
+    entry as the centre.  The target-dependent rows are then projected
+    through ``_centred_projections``, a float32 pass on rows centred on
+    that centre, on a cold and a warm call alike, so a hit returns the very
+    bits a miss computes.  Against the float64 formula the relative error
+    in ``sd_sw`` stays near 1e-8 on unit-scale data, offset or not.
     """
     split = basis.num_slices - basis.fixed
     varying, fixed = basis.directions[:split], basis.directions[split:]
-    # Same memo contract as ``moments``: the instance dict, outside the
-    # dataclass fields; it holds no reference to any set.
-    memo = src.__dict__.setdefault("_curves", {})
-    key = (fixed.tobytes(), quantiles)
+    memo = _memo(src)
+    key = ("curves", fixed.tobytes(), quantiles)
     hit = memo.get(key)
     if hit is None:
         sums = np.zeros(src.dim)
-        (proj,) = _sorted_projections(src.data, fixed, sums=sums)
-        # The centre goes in before the curves: a hit implies a centre.
-        src.__dict__.setdefault("_centre", (sums / src.n).astype(np.float32))
-        hit = memo.setdefault(key, _quantile_curves(proj, quantiles))
+        proj = _sorted_projections(src.data, fixed, sums=sums)
+        hit = memo.setdefault(
+            key, ((sums / src.n).astype(np.float32), _quantile_curves(proj, quantiles))
+        )
+    centre, fixed_curves = hit
     # F order, as ``_quantile_curves`` returns it: the per-slice means of
     # the differences then reduce in the same order on a hit and a miss.
     curves = np.empty((basis.num_slices, quantiles), order="F")
-    curves[split:] = hit
+    curves[split:] = fixed_curves
     if split:
-        proj = _centred_projections(src.data, varying, src.__dict__["_centre"])
+        proj = _centred_projections(src.data, varying, centre)
         curves[:split] = _quantile_curves(proj, quantiles)
     return curves
 
@@ -434,9 +392,9 @@ def sliced_w2_per_slice(
     """
     check_same_dim(src.dim, basis.dim, "source vs basis")
     check_same_dim(tgt.dim, basis.dim, "target vs basis")
-    (proj_tgt,) = _sorted_projections(tgt.data, basis.directions)
+    proj_tgt = _sorted_projections(tgt.data, basis.directions)
     if src.n == tgt.n:
-        (proj_src,) = _sorted_projections(src.data, basis.directions)
+        proj_src = _sorted_projections(src.data, basis.directions)
         return np.mean((proj_src - proj_tgt) ** 2, axis=1)
     diff = _source_curves(src, basis, quantiles) - _quantile_curves(proj_tgt, quantiles)
     return np.mean(diff**2, axis=1)
@@ -460,8 +418,7 @@ def build_basis(src: EmbeddingSet, tgt: EmbeddingSet, cfg: SWDConfig) -> Project
     dim = src.dim
     if cfg.mode == "all_random":
         return random_directions(cfg.l_random, dim, cfg.seed)
-    # Raw-array equivalent of pca_directions(subsample(src (+) tgt, ...), k):
-    # the subsample draw and seeds match, without intermediate set objects.
+    # The range finder runs on a centred subsample of the joint cloud.
     # Stacking order is canonicalized so the joint cloud behaves as a set
     # union and swapping the arguments leaves the basis (hence the sliced
     # distance) unchanged even when the subsample kicks in.
@@ -481,11 +438,18 @@ def build_basis(src: EmbeddingSet, tgt: EmbeddingSet, cfg: SWDConfig) -> Project
     rows[in_first] = first.data[idx[in_first]]
     rows[~in_first] = second.data[idx[~in_first] - first.n]
     rows -= rows.mean(axis=0)
-    # A joint cloud too small for k_pca is topped up with random slices.
-    top_up = _unit_rows(cfg.k_pca - min(cfg.k_pca, take, dim), dim, spawn_seed(cfg.seed, 4))
+    k = min(cfg.k_pca, take, dim)
+    pca, effective = _principal_directions(rows, k, rng_for(spawn_seed(cfg.seed, 2)))
+    # A joint cloud too small for k_pca is topped up with random slices, and
+    # every direction past the effective rank is tagged random.
+    top_up = _unit_rows(cfg.k_pca - k, dim, spawn_seed(cfg.seed, 4))
     tail = _unit_rows(cfg.l_random, dim, spawn_seed(cfg.seed, 3))
-    return _pca_basis(
-        rows, cfg.k_pca, rng_for(spawn_seed(cfg.seed, 2)), (top_up, tail), fixed=cfg.l_random
+    dirs = np.vstack([pca, top_up, tail])
+    return ProjectionBasis(
+        directions=dirs,
+        provenance=("pca",) * effective + ("random",) * (dirs.shape[0] - effective),
+        rank_deficient=effective < cfg.k_pca,
+        fixed=cfg.l_random,
     )
 
 
@@ -508,24 +472,24 @@ def hybrid_swd(src: EmbeddingSet, tgt: EmbeddingSet, cfg: SWDConfig) -> float:
     """Sliced W2 between the two sets under the configured slice scheme.
 
     The hybrid basis depends on the target as well as the source, so each
-    new batch builds its own.  The basis is memoized on the target set, one
-    per config, and reused while the source is the very same data array;
-    the memo goes when the target does.  The config's random slices depend
-    on neither set, so for unequal sizes ``sliced_w2_per_slice`` memoizes
+    new batch builds its own.  The basis is memoized on the target set (see
+    ``workload._memo``), one per config, and reused while the source is the
+    very same data array.  The config's random slices depend on neither
+    set, so for unequal sizes ``sliced_w2_per_slice`` memoizes
     the source's quantile curves on them on the source set: a resident
     source projects only onto the ``k_pca`` target-dependent slices (none
     in ``all_random`` mode) after its first unequal-size target.
     """
-    # Same memo contract as ``moments``: the instance dict, outside the
-    # dataclass fields.  Holding the source array, not the source set, keeps
+    # Holding the source array, not the source set, keeps
     # ``hybrid_swd(a, a, cfg)`` free of a reference cycle.
-    memo = tgt.__dict__.setdefault("_bases", {})
-    hit = memo.get(cfg)
+    memo = _memo(tgt)
+    key = ("basis", cfg)
+    hit = memo.get(key)
     if hit is not None and hit[0] is src.data:
         basis = hit[1]
     else:
         basis = build_basis(src, tgt, cfg)
-        memo[cfg] = (src.data, basis)
+        memo[key] = (src.data, basis)
     return sliced_w2(src, tgt, basis, cfg.quantiles)
 
 

@@ -562,7 +562,11 @@ def load_model(path: str | os.PathLike) -> LoadedModel:
     block = raw[_MODEL_HEADER.size + header_len :]
     if len(block) != expected:
         raise TruncatedPayload(f"{path}: parameter block {len(block)} bytes, expected {expected}")
-    params = MLPParams.from_flat(layer_dims, np.frombuffer(block, dtype="<f4").astype(np.float64))
+    # A signalling NaN would make the cast warn; the finiteness check below
+    # rejects it.
+    with np.errstate(invalid="ignore"):
+        flat = np.frombuffer(block, dtype="<f4").astype(np.float64)
+    params = MLPParams.from_flat(layer_dims, flat)
     report = header.get("train_report")
     swd = header.get("swd_config")
     try:

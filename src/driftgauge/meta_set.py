@@ -297,8 +297,10 @@ def save_meta_set(instances, path: str | os.PathLike) -> None:
 def line_records(path: str | os.PathLike, parse):
     """Yield ``(line_number, parse(line))`` for every non-blank line, newline
     stripped, in file order.  A missing file is MissingFile; text that is not
-    UTF-8, or a line that ``parse`` rejects with ValueError, KeyError or
-    TypeError, is a ParseError naming the file (and the line)."""
+    UTF-8, or a line that ``parse`` rejects with ValueError, KeyError,
+    TypeError, OverflowError (``int(1e400)``, ``float(10**400)``) or
+    RecursionError (JSON nested too deep), is a ParseError naming the file
+    (and the line)."""
     path = os.fspath(path)
     if not os.path.isfile(path):
         raise MissingFile(path)
@@ -309,7 +311,7 @@ def line_records(path: str | os.PathLike, parse):
                     continue
                 try:
                     record = parse(line.rstrip("\n"))
-                except (ValueError, KeyError, TypeError) as exc:
+                except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
                     raise ParseError(f"{path}, line {lineno}: {exc!r}") from exc
                 yield lineno, record
     except UnicodeDecodeError as exc:

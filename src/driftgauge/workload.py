@@ -90,27 +90,14 @@ class Manifest:
 class EmbeddingSet:
     """An n x D matrix of pooled representation vectors plus its manifest.
 
-    Immutable after construction; safe for concurrent reads.  Three memos
-    live on sets:
-
-    * ``moments`` memoizes its summary on the set, one per variance floor,
-      so a source kept resident across many targets pays for its moments
-      once;
-    * ``sliced_w2_per_slice`` memoizes a source's quantile curves on a
-      basis's fixed (configuration-only) slices on the source set, keyed
-      by those directions and the quantile count, for unequal-size pairs,
-      and with them the source's mean cast to float32, the centre of its
-      float32 projection pass;
-    * ``hybrid_swd`` memoizes the slice basis on the target set, per config
-      and source array.
-
-    The memos are safe for concurrent reads as well: two threads may both
-    compute a missing entry, and both get equal values.
+    Immutable after construction; safe for concurrent reads.  Values derived
+    from the set are memoized on it (see ``_memo``), so a source kept
+    resident across many targets pays for them once.
     ``data`` is held as a C-contiguous, aligned float32 array, so BLAS can
     take it as is.  Such an array is not copied, only made read-only; any
     other array (another dtype, a strided view, a misaligned buffer) is
     copied once.  The caller must not write to an array it handed over
-    (say, after setting the write flag again): every memo trusts it.
+    (say, after setting the write flag again): the memo trusts it.
     Values must be finite; NaN or Inf raises ``NonFiniteValue`` at its
     first cell, while any finite float32, up to +-3.4e38, is accepted.
     """
@@ -280,15 +267,14 @@ def moments(es: EmbeddingSet, variance_floor: float = DEFAULT_VARIANCE_FLOOR) ->
 
     The floor guards downstream whitening against zero-variance coordinates.
     Two passes over float64 row blocks: the mean, then the centered sum of
-    squares.  The summary is memoized on ``es`` per floor, so a later call on
-    the same set returns the same object.
+    squares.  The summary is memoized on ``es`` per floor (see ``_memo``),
+    so a later call on the same set returns the same object.
     """
     if variance_floor <= 0:
         raise ValueError("variance_floor must be positive")
-    # The memo lives in the instance dict, outside the dataclass fields, so
-    # equality, repr and construction are unchanged; new sets start empty.
-    memo = es.__dict__.setdefault("_moments", {})
-    hit = memo.get(variance_floor)
+    memo = _memo(es)
+    key = ("moments", variance_floor)
+    hit = memo.get(key)
     if hit is not None:
         return hit
     total = np.zeros(es.dim)
@@ -301,7 +287,29 @@ def moments(es: EmbeddingSet, variance_floor: float = DEFAULT_VARIANCE_FLOOR) ->
         block *= block
         sq += block.sum(axis=0)
     var = np.maximum(sq / es.n, variance_floor)
-    return memo.setdefault(variance_floor, MomentSummary(mean=mean, var=var, count=es.n))
+    return memo.setdefault(key, MomentSummary(mean=mean, var=var, count=es.n))
+
+
+def _memo(es: EmbeddingSet) -> dict:
+    """The set's memo of values derived from its data, one dict per set.
+
+    It lives in the instance dict, outside the dataclass fields, so
+    equality, repr and construction are unchanged, every new set (a
+    subsample, a reload, a second set over the same array) starts empty,
+    and the memo is freed with the set.  Entries hold no reference to any
+    set.  It trusts that ``data`` is never written.  Concurrent readers are
+    safe: two threads may both compute a missing entry, and both get equal
+    values.  Keys:
+
+    * ``("moments", floor)``: the ``MomentSummary`` from ``moments``;
+    * ``("curves", fixed-row bytes, Q)``: ``(centre, curves)``, the set's
+      mean cast to float32 and its (l, Q) quantile curves on a basis's
+      fixed slices, from ``descriptors._source_curves``;
+    * ``("basis", cfg)``: ``(source array, basis)``, the slice basis that
+      ``descriptors.hybrid_swd`` built with this set as the target, valid
+      while the source is that very array.
+    """
+    return es.__dict__.setdefault("_memo", {})
 
 
 def _float64_blocks(x: np.ndarray):

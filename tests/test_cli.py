@@ -308,6 +308,23 @@ class TestCliWorkflow:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "BadMagic" and "non-finite" in payload["message"]
 
+    def test_predict_model_with_signalling_nan_keeps_stderr_one_json_line(self, workdir, capsys):
+        import struct
+        import warnings
+
+        self._untrained_predict_inputs(workdir)
+        blob = bytearray((workdir / "model.fsmlp").read_bytes())
+        block = struct.calcsize("<8sIQ") + struct.unpack_from("<8sIQ", blob)[2]
+        blob[block : block + 4] = struct.pack("<I", 0x7FA00000)
+        (workdir / "model.fsmlp").write_bytes(bytes(blob))
+        with warnings.catch_warnings():
+            # A warning printed ahead of the payload would break stderr.
+            warnings.simplefilter("error")
+            assert self._predict(workdir) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "BadMagic" and "non-finite" in payload["message"]
+
     @pytest.mark.parametrize("flag", ["--meta-set", "--probe", "--calib", "--charges"])
     def test_missing_jsonl_input_exits_1(self, workdir, capsys, flag):
         self._untrained_predict_inputs(workdir)
@@ -688,5 +705,103 @@ class TestFuzzedModelFile:
         code = run(argv + ["--seed", "3"])
         if code == 1:
             assert "error" in json.loads(capsys.readouterr().err.strip())
+        else:
+            assert code == 0
+
+
+# The commands that read JSONL, each with its argv and the file of ``trained``
+# that it reads; the keys of those files' lines (a meta-set line nests the
+# descriptor's under "delta"); and JSON text to put at a key.
+_JSONL_INPUTS = {
+    "train": (["train", "--meta-set", "{f}", "--out", "{o}"], "meta.jsonl"),
+    "predict": (_PREDICT[:7] + ["--calib", "{f}", "--out", "{o}"], "meta.jsonl"),
+    "ledger": (["budget", "ledger", "--charges", "{f}", "--out", "{o}"], "charges.jsonl"),
+}
+_JSONL_KEYS = ["task_id", "sample_set_id", "sample_set_size", "accuracy", "delta", "sd_f",
+               "sd_sw", "config_digest", "db_id", "kind", "count", "nosuch"]
+_JSON_TOKENS = st.one_of(
+    st.sampled_from(["1e400", "-1e400", "1" * 401, "-" + "9" * 401, "1e-400", "NaN",
+                     "Infinity", "-0", "0", "1", "-1", "0.5", "1e300", "true", "null", "[]",
+                     "{}", '"gen"', '"x"', "[" * 2000]),
+    st.integers().map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.text(max_size=8).map(json.dumps),
+)
+
+
+def _with_raw_value(line: str, key: str, raw: str) -> str:
+    """``line``, a JSON object, with the value at ``key`` (top level, or in
+    its "delta" object) replaced by the JSON text ``raw``."""
+    record = json.loads(line)
+    owner = record["delta"] if key not in record and key in record.get("delta", {}) else record
+    owner[key] = "\x00"
+    return json.dumps(record, sort_keys=True, separators=(",", ":")).replace('"\\u0000"', raw)
+
+
+def _run_on_jsonl(trained, tmp_path, capsys, command, blob):
+    """Run ``command`` on the JSONL bytes ``blob``; return its exit code and
+    stderr."""
+    argv, name = _JSONL_INPUTS[command]
+    path = tmp_path / ("in-" + name)
+    path.write_bytes(blob)
+    argv = [a.format(d=trained, f=path, o=tmp_path / "out") for a in argv]
+    capsys.readouterr()
+    return run(argv + ["--seed", "3"]), capsys.readouterr().err
+
+
+class TestOversizedJsonValues:
+    """A JSON number that no Python int or float can hold, or an array
+    nested deeper than the parser's recursion limit, is a ParseError naming
+    the line."""
+
+    @pytest.mark.parametrize(
+        "command, key, raw",
+        [("train", "sample_set_size", "1e400"), ("train", "sd_f", "1" * 401),
+         ("ledger", "count", "1e400"), ("predict", "delta", "[" * 2000)],
+        ids=["meta-set-size-1e400", "meta-set-sd_f-401-digits", "ledger-count-1e400",
+             "calib-nested-too-deep"],
+    )
+    def test_exits_1(self, trained, tmp_path, capsys, command, key, raw):
+        name = _JSONL_INPUTS[command][1]
+        first = (trained / name).read_text().splitlines()[0]
+        code, err = _run_on_jsonl(trained, tmp_path, capsys, command,
+                                  (_with_raw_value(first, key, raw) + "\n").encode())
+        assert code == 1
+        (line,) = err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "ParseError"
+        assert "line 1" in payload["message"]
+        assert not (tmp_path / "out").exists()
+
+
+class TestFuzzedJsonl:
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(sorted(_JSONL_INPUTS)), line=st.integers(0, 2**16),
+           key=st.sampled_from(_JSONL_KEYS), raw=_JSON_TOKENS,
+           damage=st.one_of(st.none(), st.tuples(st.booleans(), st.integers(0, 2**20),
+                                                 st.integers(1, 255))))
+    @example(command="train", line=0, key="sample_set_size", raw="1e400", damage=None)
+    @example(command="train", line=0, key="sd_f", raw="1" * 401, damage=None)
+    @example(command="ledger", line=0, key="count", raw="1e400", damage=None)
+    @example(command="predict", line=3, key="delta", raw="[" * 2000, damage=None)
+    def test_only_typed_errors_escape(self, trained, tmp_path, capsys,
+                                      command, line, key, raw, damage):
+        """One value of a valid JSONL input replaced by arbitrary JSON text,
+        then the file perhaps truncated or one byte flipped: the command
+        exits 0, or exits 1 with one JSON line on stderr."""
+        lines = (trained / _JSONL_INPUTS[command][1]).read_text().splitlines()
+        lines[line % len(lines)] = _with_raw_value(lines[line % len(lines)], key, raw)
+        blob = bytearray(("\n".join(lines) + "\n").encode())
+        if damage is not None:
+            truncate, at, mask = damage
+            if truncate:
+                blob = blob[: at % len(blob)]
+            else:
+                blob[at % len(blob)] ^= mask
+        code, err = _run_on_jsonl(trained, tmp_path, capsys, command, bytes(blob))
+        if code == 1:
+            (payload,) = err.splitlines()
+            assert "error" in json.loads(payload)
         else:
             assert code == 0

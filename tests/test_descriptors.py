@@ -14,7 +14,6 @@ from driftgauge import (
     hybrid_swd,
     mahalanobis_descriptor,
     moments,
-    pca_directions,
     random_directions,
     sliced_w2,
     sliced_w2_per_slice,
@@ -161,19 +160,26 @@ class TestRandomDirections:
         assert set(np.round(basis.directions.ravel(), 12)) <= {1.0, -1.0}
 
 
+def pca_basis(data, k, seed):
+    """``build_basis``'s principal directions of one set: the joint cloud of
+    the set with itself, whole, and no random slices."""
+    cfg = SWDConfig(k_pca=k, l_random=0, pca_subsample=2 * data.n, seed=seed)
+    return build_basis(data, data, cfg)
+
+
 class TestPcaDirections:
     def test_line_data_recovers_direction(self):
         rng = np.random.default_rng(1)
         line = np.linspace(-2, 2, 60)[:, None] * np.array([[3.0, 4.0, 0.0]]) / 5.0
         data = EmbeddingSet(data=line.astype(np.float32))
-        basis = pca_directions(data, 1, seed=4)
+        basis = pca_basis(data, 1, seed=4)
         exact = exact_principal_directions(data.data, 1)
         cosine = abs(float(basis.directions[0] @ exact[0]))
         assert cosine >= 0.999
 
     def test_isotropic_variance_fraction(self):
         data = gaussian_set(5000, 16, seed=11)
-        basis = pca_directions(data, 2, seed=5)
+        basis = pca_basis(data, 2, seed=5)
         frac = explained_variance_fraction(data.data, basis.directions)
         assert frac == pytest.approx(2 / 16, abs=0.05)
 
@@ -182,28 +188,23 @@ class TestPcaDirections:
         u = rng.standard_normal((8, 2))
         v = rng.standard_normal((2, 4))
         data = EmbeddingSet(data=(u @ v).astype(np.float32))
-        basis = pca_directions(data, 2, seed=6)
+        basis = pca_basis(data, 2, seed=6)
         exact = exact_principal_directions(data.data, 2)
         assert subspace_angle(basis.directions, exact) <= 1e-6
 
     def test_rank_deficient_padding(self):
         # rank-1 data after centering, k=2: one pca row plus one random pad
         line = np.outer(np.arange(10, dtype=np.float32), [1.0, 0.0, 0.0])
-        basis = pca_directions(EmbeddingSet(data=line), 2, seed=7)
+        basis = pca_basis(EmbeddingSet(data=line), 2, seed=7)
         assert basis.rank_deficient
         assert basis.provenance == ("pca", "random")
         assert np.allclose(np.linalg.norm(basis.directions, axis=1), 1.0, atol=1e-6)
 
     def test_orthonormal_rows(self):
         data = gaussian_set(500, 12, seed=13, std=2.0)
-        basis = pca_directions(data, 5, seed=8)
+        basis = pca_basis(data, 5, seed=8)
         gram = basis.directions @ basis.directions.T
         assert np.allclose(gram, np.eye(5), atol=1e-8)
-
-    def test_k_bounds(self):
-        data = gaussian_set(10, 4, seed=0)
-        with pytest.raises(ValueError):
-            pca_directions(data, 5, seed=0)
 
 
 class TestRangeFinder:
@@ -258,7 +259,7 @@ class TestRangeFinder:
         assert subspace_angle(dirs[:3], exact_principal_directions(x, 3)) <= 1e-6
         width = min(5 + descriptors.PCA_OVERSAMPLE, 12)
         assert np.array_equal(dirs[3:], self.expected_pads(7, 12, width, 2))
-        basis = pca_directions(EmbeddingSet(data=cloud.astype(np.float32)), 5, seed=7)
+        basis = pca_basis(EmbeddingSet(data=cloud.astype(np.float32)), 5, seed=7)
         assert basis.rank_deficient
         assert basis.provenance == ("pca",) * 3 + ("random",) * 2
 
@@ -454,6 +455,11 @@ def _copy(es):
     return EmbeddingSet(data=es.data.copy())
 
 
+def _curve_entries(es):
+    """The set's memoized ``(centre, curves)`` pairs."""
+    return [value for key, value in workload._memo(es).items() if key[0] == "curves"]
+
+
 class TestSourceCurveMemo:
     """``sliced_w2_per_slice`` keeps the source's quantile curves on a
     basis's fixed slices on the source set, for unequal-size pairs only."""
@@ -486,7 +492,7 @@ class TestSourceCurveMemo:
         for cfg, q, target, entries in calls:
             basis = build_basis(src, target, cfg)
             got = sliced_w2_per_slice(src, target, basis, q)
-            assert len(src.__dict__["_curves"]) == entries
+            assert len(_curve_entries(src)) == entries
             np.testing.assert_array_equal(got, sliced_w2_per_slice(_copy(src), target, basis, q))
             want = reference_sliced_w2_per_slice(src.data, target.data, basis.directions, q)
             assert max_relative_error(got, want) <= ORACLE_REL
@@ -496,11 +502,11 @@ class TestSourceCurveMemo:
         cfg = SWDConfig(k_pca=3, l_random=4, seed=3)
         same_size = gaussian_set(300, 6, seed=86, mean=0.4)
         hybrid_swd(src, same_size, cfg)
-        assert "_curves" not in src.__dict__
+        assert not _curve_entries(src)
         other = gaussian_set(120, 6, seed=87, mean=0.4)
         honest = hybrid_swd(src, other, cfg)
         # Poison the memo: the unequal path reads it, the equal path not.
-        for curves in src.__dict__["_curves"].values():
+        for _, curves in _curve_entries(src):
             curves += 1.0
         assert hybrid_swd(src, _copy(other), cfg) != honest
         assert hybrid_swd(src, _copy(same_size), cfg) == hybrid_swd(_copy(src), same_size, cfg)
@@ -518,13 +524,14 @@ class TestSourceCurveMemo:
             # means reduce over.  The centre is the float32 cast of the mean
             # that ``moments`` sums over the same float64 blocks.
             centre = moments(_copy(src)).mean.astype(np.float32)
-            np.testing.assert_array_equal(src.__dict__["_centre"], centre)
+            ((memo_centre, _),) = _curve_entries(src)
+            np.testing.assert_array_equal(memo_centre, centre)
             split = basis.num_slices - basis.fixed
             parts = (
                 descriptors._centred_projections(src.data, basis.directions[:split], centre),
-                *descriptors._sorted_projections(src.data, basis.directions[split:]),
+                descriptors._sorted_projections(src.data, basis.directions[split:]),
             )
-            (proj_tgt,) = descriptors._sorted_projections(tgt.data, basis.directions)
+            proj_tgt = descriptors._sorted_projections(tgt.data, basis.directions)
             diff = descriptors._quantile_curves(np.vstack(parts), cfg.quantiles)
             diff -= descriptors._quantile_curves(proj_tgt, cfg.quantiles)
             assert got.tobytes() == np.mean(diff**2, axis=1).tobytes()
@@ -534,11 +541,23 @@ class TestSourceCurveMemo:
         tgt = gaussian_set(300, 6, seed=89, mean=0.5)
         data = weakref.ref(src.data)
         compute_delta(src, tgt, SWDConfig(k_pca=3, l_random=4, seed=2))
-        assert "_curves" in src.__dict__
+        assert _curve_entries(src)
         del src, tgt
         # Reference counting alone must free it: the curve memo holds no
         # reference to any set, and the basis memo goes with the target.
         assert data() is None
+
+    def test_memo_is_the_only_private_key(self):
+        src = gaussian_set(300, 6, seed=94)
+        equal = gaussian_set(300, 6, seed=95, mean=0.3)
+        unequal = gaussian_set(200, 6, seed=96, mean=0.3)
+        cfg = SWDConfig(k_pca=3, l_random=4, seed=7)
+        for tgt in (equal, unequal):
+            compute_delta(src, tgt, cfg)
+        for s in (src, equal, unequal):
+            assert [key for key in vars(s) if key.startswith("_")] == ["_memo"]
+        assert {key[0] for key in workload._memo(src)} == {"moments", "curves"}
+        assert {key[0] for key in workload._memo(unequal)} == {"moments", "basis"}
 
     def test_self_distance_is_exactly_zero(self):
         a = gaussian_set(350, 6, seed=90)

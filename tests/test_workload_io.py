@@ -297,13 +297,14 @@ class TestMoments:
     def test_new_sets_start_without_memo(self, tmp_path):
         es = make_set(np.random.default_rng(10).standard_normal((15, 4)))
         first = moments(es)
+        assert "_memo" in vars(es)
         save_embedding_set(es, tmp_path / "s.fsemb")
         for other in (
             subsample(es, es.n, seed=1),
             EmbeddingSet(data=es.data),
             load_embedding_set(tmp_path / "s.fsemb"),
         ):
-            assert "_moments" not in vars(other)
+            assert "_memo" not in vars(other)
             again = moments(other)
             assert again is not first
             assert np.allclose(again.mean, first.mean) and np.allclose(again.var, first.var)
