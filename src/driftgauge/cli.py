@@ -13,15 +13,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .config import FINITE, NON_NEGATIVE, OPEN_UNIT, POSITIVE, RunConfig, load_run_config, require
 from .descriptors import NUM_FEATURES, compute_delta
-from .errors import ConfigMismatch, DriftGaugeError, InvalidValue, IoFailure, MissingFile, ParseError
+from .errors import (BadMagic, ConfigMismatch, DriftGaugeError, InvalidValue, IoFailure,
+                     MissingFile, ParseError)
 from .evaluator import load_model, predict, save_model, train
 from .meta_learning import MetaTask, adapt_to_model, meta_train
 from .meta_set import (
@@ -128,13 +131,16 @@ def _cmd_predict(args) -> int:
     src = load_embedding_set(args.source)
     tgt = load_embedding_set(args.target)
     delta = compute_delta(src, tgt, model.swd_config, model.variance_floor)
-    m_hat = predict(model.params, model.normalizer, delta)
-
     calib = load_meta_set(args.calib)
-    residuals = [
-        abs(predict(model.params, model.normalizer, inst.delta) - inst.accuracy)
-        for inst in calib
-    ]
+    # Statistics that overflow give NaN, refused once below, not warned per call.
+    with np.errstate(all="ignore"):
+        m_hat = predict(model.params, model.normalizer, delta)
+        residuals = [
+            abs(predict(model.params, model.normalizer, inst.delta) - inst.accuracy)
+            for inst in calib
+        ]
+    if not all(map(math.isfinite, [m_hat, *residuals])):
+        raise BadMagic(f"{args.model}: the model gives a non-finite estimate")
     delta_alpha, insufficient = conformal_interval(residuals, alpha)
     interval = Interval(center=m_hat, half_width=delta_alpha, alpha=alpha)
     payload = {
@@ -218,9 +224,12 @@ def _cmd_adapt(args) -> int:
 
 def _cmd_budget_plan(args) -> int:
     rc = _config_from(args)
+    # Counts are scaled by float costs, so each must also fit in a float.
     require("--n-pairs", NON_NEGATIVE, args.n_pairs)
+    require("--n-pairs", FINITE, args.n_pairs)
     if args.db_count is not None:
         require("--db-count", NON_NEGATIVE, args.db_count)
+        require("--db-count", FINITE, args.db_count)
     cm = rc.cost_model()
     plan = plan_budget(cm, args.n_pairs)
     payload = plan.to_dict()
@@ -230,9 +239,10 @@ def _cmd_budget_plan(args) -> int:
         f"{'feasible' if plan.feasible else 'infeasible'}"
     )
     if args.db_count is not None:
-        bound = worst_case_bound(
-            cm, args.db_count, rc.get("budget", "cap_gen"), rc.get("budget", "cap_exec")
-        )
+        cap_gen, cap_exec = rc.get("budget", "cap_gen"), rc.get("budget", "cap_exec")
+        require("budget.cap_gen", FINITE, cap_gen)
+        require("budget.cap_exec", FINITE, cap_exec)
+        bound = worst_case_bound(cm, args.db_count, cap_gen, cap_exec)
         payload["worst_case_bound"] = round(bound, 2)
         payload["worst_case_feasible"] = bound <= cm.total_budget
     payload["provenance"] = rc.provenance()
@@ -338,12 +348,8 @@ def _synth_spec(args, shift: float) -> GaussianWorkloadSpec:
 
 
 def _stamp_seed(es, rc: RunConfig):
-    from dataclasses import replace
-
-    from .workload import EmbeddingSet
-
     manifest = replace(es.manifest, source_id=f"{es.manifest.source_id};master_seed={rc.seed}")
-    return EmbeddingSet(data=es.data, manifest=manifest)
+    return replace(es, manifest=manifest)
 
 
 def _cmd_synth_gen(args) -> int:
@@ -409,16 +415,34 @@ def _cmd_synth_label(args) -> int:
     return 0
 
 
-def _read_lines(path: str, parse=str) -> list:
-    """``parse`` of every non-blank line, newline stripped; see
-    :func:`line_records` for the typed failures."""
-    return [value for _, value in line_records(path, parse)]
+def _paired_lines(args, parse=str) -> tuple[list, list]:
+    """``parse`` of the non-blank lines of ``--pred`` and ``--gold``, paired
+    by line number.  Both files are parsed in full first (see
+    :func:`line_records`); then a line blank in one file only, or two files
+    without a record, is a ParseError."""
+    pred = dict(line_records(args.pred, parse))
+    gold = dict(line_records(args.gold, parse))
+    if pred.keys() != gold.keys():
+        lineno = min(pred.keys() ^ gold.keys())
+        blank, other = (args.gold, args.pred) if lineno in pred else (args.pred, args.gold)
+        raise ParseError(f"{blank}, line {lineno}: blank, but not in {other}")
+    if not pred:
+        raise ParseError(f"{args.pred} and {args.gold}: no records")
+    return list(pred.values()), list(gold.values())
+
+
+def _finite_float(line: str) -> float:
+    value = float(line)
+    if not math.isfinite(value):
+        raise ValueError(f"{line!r} is not a finite number")
+    return value
 
 
 def _cmd_metrics_mae(args) -> int:
-    pred = _read_lines(args.pred, float)
-    gold = _read_lines(args.gold, float)
-    value = mae(pred, gold)
+    pred, gold = _paired_lines(args, _finite_float)
+    with np.errstate(over="ignore"):
+        value = mae(pred, gold)
+    require(f"the mae of {args.pred} and {args.gold}", FINITE, value)
     payload = {"mae": value, "n": len(pred)}
     print(json.dumps(payload, sort_keys=True))
     if args.out:
@@ -427,12 +451,7 @@ def _cmd_metrics_mae(args) -> int:
 
 
 def _cmd_metrics_em(args) -> int:
-    pred = _read_lines(args.pred)
-    gold = _read_lines(args.gold)
-    if len(pred) != len(gold):
-        raise ParseError(f"pred has {len(pred)} lines, gold has {len(gold)}")
-    if not pred:
-        raise ParseError("no records")
+    pred, gold = _paired_lines(args)
     verdicts = [exact_match(p, g) for p, g in zip(pred, gold)]
     payload = {"em": float(np.mean(verdicts)), "n": len(verdicts)}
     print(json.dumps(payload, sort_keys=True))

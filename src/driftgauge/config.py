@@ -12,7 +12,6 @@ own or one in ``_RULES``, is InvalidValue when the setting is read.
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -35,11 +34,12 @@ _SECTIONS = {"swd": (SWDConfig, 11), "train": (TrainConfig, 12),
              "reptile": (ReptileConfig, 13), "budget": (CostModel, None)}
 _KEY_OF_FIELD = {"total_budget": "total"}
 
-# What a value must be, as (test, wording); NaN passes no test.
+# What a value must be, as (test, wording); NaN passes no test, and an int
+# too large for a float fails FINITE like inf.
 POSITIVE = (lambda v: v > 0, "be positive")
 NON_NEGATIVE = (lambda v: v >= 0, "be non-negative")
 OPEN_UNIT = (lambda v: 0 < v < 1, "lie in (0, 1)")
-FINITE = (math.isfinite, "be finite")
+FINITE = (lambda v: abs(v) <= sys.float_info.max, "be a finite float")
 
 # The keys that no dataclass checks.
 _RULES = {
@@ -99,9 +99,7 @@ def _parse_scalar(raw: str, section: str, key: str):
 
 def _coerce(value, want: type, section: str, key: str):
     if want is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        # An int too large for a float fails this comparison like inf and NaN.
-        if not abs(value) <= sys.float_info.max:
-            raise InvalidValue(f"{section}.{key}: expected a finite number, got {value!r}")
+        require(f"{section}.{key}", FINITE, value)
         return float(value)
     if want is int:
         if isinstance(value, bool) or not isinstance(value, int):

@@ -31,6 +31,7 @@ from .errors import (
     BadMagic,
     ConfigMismatch,
     InsufficientData,
+    InvalidValue,
     MissingFile,
     ShapeMismatch,
     TruncatedPayload,
@@ -304,6 +305,8 @@ class Normalizer:
         std = np.asarray(self.feature_std, dtype=np.float64)
         if mean.ndim != 1 or std.shape != mean.shape:
             raise ValueError("feature_mean/std must be equal-length vectors")
+        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+            raise ValueError("feature_mean/std must be finite")
         if np.any(std < STD_FLOOR):
             raise ValueError(f"feature_std entries must be >= {STD_FLOOR}")
         mean.setflags(write=False)
@@ -313,12 +316,15 @@ class Normalizer:
 
     @classmethod
     def fit(cls, features: np.ndarray, config_digest: str = "") -> "Normalizer":
+        """Statistics that overflow (features near 1e154 or beyond) are
+        InvalidValue."""
         features = np.asarray(features, dtype=np.float64)
-        return cls(
-            feature_mean=features.mean(axis=0),
-            feature_std=np.maximum(features.std(axis=0), STD_FLOOR),
-            config_digest=config_digest,
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, std = features.mean(axis=0), features.std(axis=0)
+        try:
+            return cls(mean, np.maximum(std, STD_FLOOR), config_digest)
+        except ValueError as exc:
+            raise InvalidValue(f"descriptor features: {exc}") from exc
 
     def apply(self, features: np.ndarray) -> np.ndarray:
         return (np.asarray(features, dtype=np.float64) - self.feature_mean) / self.feature_std

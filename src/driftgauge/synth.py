@@ -74,12 +74,7 @@ def gen_gaussian_workload(spec: GaussianWorkloadSpec, seed: int) -> EmbeddingSet
         means = np.stack([m for _, m, _ in spec.mixture])
         stds = np.stack([s for _, _, s in spec.mixture])
         data = means[comp] + noise * stds[comp]
-    manifest = Manifest(
-        count=spec.count,
-        dim=spec.dim,
-        pooling="synthetic-gaussian",
-        source_id=f"gaussian-d{spec.dim}-seed{seed}",
-    )
+    manifest = Manifest(pooling="synthetic-gaussian", source_id=f"gaussian-d{spec.dim}-seed{seed}")
     return EmbeddingSet(data=data.astype(np.float32), manifest=manifest)
 
 

@@ -2,8 +2,10 @@
 
 All workload data enters the descriptor kernels through this module.  Sets
 are stored on disk as ``.fsemb`` files: a fixed binary header followed by the
-row-major float32 payload, with a ``.fsemb.json`` sidecar duplicating the
-human-relevant manifest fields.
+row-major float32 payload, with a ``.fsemb.json`` sidecar for people and
+other tools: the shape and dtype, written from the array, plus the
+manifest's descriptive fields.  Loading reads only those descriptive fields
+from the sidecar; the header alone defines the set.
 
 File layout (little-endian):
 
@@ -21,7 +23,7 @@ import json
 import os
 import struct
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -38,8 +40,7 @@ from .seeding import rng_for
 
 MAGIC = b"FSEMB\x00\x00\x00"
 VERSION = 1
-_DTYPE_CODES = {"f32": 1}
-_CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
+_F32_CODE = 1  # the header's dtype byte; float32 is the only dtype
 _HEADER = struct.Struct("<8sIQIB")
 
 # Epoch placeholder keeps artifact bytes reproducible; callers that want real
@@ -60,39 +61,23 @@ _BLOCK_BYTES = 1 << 18
 
 @dataclass(frozen=True)
 class Manifest:
-    count: int
-    dim: int
-    dtype: str = "f32"
+    """What a set is, not its shape: how its rows were pooled, where they
+    came from and when.  The shape lives in ``EmbeddingSet.data`` alone."""
+
     pooling: str = "unspecified"
     source_id: str = ""
     created_at: str = EPOCH_TIMESTAMP
-
-    def __post_init__(self):
-        if self.count < 0:
-            raise ValueError("count must be non-negative")
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
-        if self.dtype not in _DTYPE_CODES:
-            raise ValueError(f"unrecognized dtype code {self.dtype!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "dim": self.dim,
-            "dtype": self.dtype,
-            "pooling": self.pooling,
-            "source_id": self.source_id,
-            "created_at": self.created_at,
-        }
 
 
 @dataclass(frozen=True)
 class EmbeddingSet:
     """An n x D matrix of pooled representation vectors plus its manifest.
 
-    Immutable after construction; safe for concurrent reads.  Values derived
-    from the set are memoized on it (see ``_memo``), so a source kept
-    resident across many targets pays for them once.
+    The array is the one record of the set's shape (``n``, ``dim``); the
+    manifest only describes it, so any manifest fits any array.
+    Immutable after construction; safe for concurrent reads.  Values
+    derived from the set are memoized on it (see ``_memo``), so a source
+    kept resident across many targets pays for them once.
     ``data`` is held as a C-contiguous, aligned float32 array, so BLAS can
     take it as is.  Such an array is not copied, only made read-only; any
     other array (another dtype, a strided view, a misaligned buffer) is
@@ -103,14 +88,13 @@ class EmbeddingSet:
     """
 
     data: np.ndarray
-    manifest: Manifest = field(default=None)  # type: ignore[assignment]
+    manifest: Manifest = field(default_factory=Manifest)
 
     def __post_init__(self):
         data = np.require(np.asarray(self.data, np.float32), requirements=["C", "A"])
         if data.ndim != 2:
             raise ValueError("data must be a 2-D matrix")
-        n, dim = data.shape
-        if n < 1 or dim < 1:
+        if data.size == 0:
             raise ValueError("need at least one row and one column")
         # Two cheap reductions screen for NaN/Inf (NaN propagates through
         # both); only on failure is the full scan run to locate the cell.
@@ -120,14 +104,6 @@ class EmbeddingSet:
             raise NonFiniteValue(int(bad[0, 0]), int(bad[0, 1]))
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
-        manifest = self.manifest
-        if manifest is None:
-            manifest = Manifest(count=n, dim=dim)
-            object.__setattr__(self, "manifest", manifest)
-        if manifest.count != n or manifest.dim != dim:
-            raise ValueError(
-                f"manifest says {manifest.count}x{manifest.dim}, data is {n}x{dim}"
-            )
 
     @property
     def n(self) -> int:
@@ -173,11 +149,14 @@ def save_embedding_set(es: EmbeddingSet, path: str | os.PathLike) -> None:
     """Write the binary file plus its JSON sidecar, atomically.
 
     ``load_embedding_set(save path)`` reproduces the payload bit-exactly.
+    The header and the sidecar's ``count``, ``dim`` and ``dtype`` come from
+    the array.
     """
     path = os.fspath(path)
-    header = _HEADER.pack(MAGIC, VERSION, es.n, es.dim, _DTYPE_CODES[es.manifest.dtype])
+    header = _HEADER.pack(MAGIC, VERSION, es.n, es.dim, _F32_CODE)
     payload = es.data.astype("<f4", copy=False).tobytes(order="C")
-    sidecar = json.dumps(es.manifest.to_dict(), indent=2, sort_keys=True) + "\n"
+    side = {"count": es.n, "dim": es.dim, "dtype": "f32", **asdict(es.manifest)}
+    sidecar = json.dumps(side, indent=2, sort_keys=True) + "\n"
     _atomic_write(path, header + payload)
     _atomic_write(path + ".json", sidecar.encode("utf-8"))
 
@@ -204,7 +183,7 @@ def load_embedding_set(path: str | os.PathLike) -> EmbeddingSet:
                 raise BadMagic(f"{path}: bad magic {magic!r}")
             if version != VERSION:
                 raise BadMagic(f"{path}: unsupported version {version}")
-            if code not in _CODE_DTYPES:
+            if code != _F32_CODE:
                 raise BadMagic(f"{path}: unknown dtype code {code}")
             if count < 1 or dim < 1:
                 raise BadMagic(f"{path}: header claims an empty {count}x{dim} set")
@@ -220,29 +199,22 @@ def load_embedding_set(path: str | os.PathLike) -> EmbeddingSet:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     if read != expected:
         raise TruncatedPayload(f"{path}: read {read} payload bytes, expected {expected}")
-    manifest = _read_sidecar(path, count, dim, _CODE_DTYPES[code])
-    return EmbeddingSet(data=data, manifest=manifest)
+    return EmbeddingSet(data=data, manifest=_read_sidecar(path))
 
 
-def _read_sidecar(path: str, count: int, dim: int, dtype: str) -> Manifest:
-    """The manifest from the binary header plus the sidecar's descriptive
-    fields; a sidecar that is missing, unreadable or not a JSON object is
-    ignored, since the header alone defines the set."""
+def _read_sidecar(path: str) -> Manifest:
+    """The manifest from the sidecar's descriptive fields.  Its ``count``,
+    ``dim`` and ``dtype`` are not read, and a sidecar that is missing,
+    unreadable or not a JSON object is ignored, since the header alone
+    defines the set."""
     try:
         with open(path + ".json", "r", encoding="utf-8") as fh:
-            fields = json.load(fh)
+            side = json.load(fh)
     except (OSError, ValueError):
-        fields = {}
-    if not isinstance(fields, dict):
-        fields = {}
-    return Manifest(
-        count=count,
-        dim=dim,
-        dtype=dtype,
-        pooling=fields.get("pooling", "unspecified"),
-        source_id=fields.get("source_id", ""),
-        created_at=fields.get("created_at", EPOCH_TIMESTAMP),
-    )
+        side = {}
+    if not isinstance(side, dict):
+        side = {}
+    return Manifest(**{f.name: side[f.name] for f in fields(Manifest) if f.name in side})
 
 
 def _atomic_write(path: str, blob: bytes) -> None:
@@ -326,8 +298,7 @@ def subsample(es: EmbeddingSet, size: int, seed: int) -> EmbeddingSet:
     if not 1 <= size <= es.n:
         raise SizeExceedsPopulation(f"requested {size} rows from a set of {es.n}")
     idx = rng_for(seed).choice(es.n, size=size, replace=False)
-    manifest = replace(es.manifest, count=size)
-    return EmbeddingSet(data=es.data[idx], manifest=manifest)
+    return EmbeddingSet(data=es.data[idx], manifest=es.manifest)
 
 
 def check_same_dim(a_dim: int, b_dim: int, what: str) -> None:

@@ -276,14 +276,25 @@ class TestCliWorkflow:
             lambda h: h["normalizer"].pop("feature_std"),
             lambda h: h["normalizer"].update(feature_std=[0.0] * 5),
             lambda h: h["normalizer"].update(feature_mean=[0.0] * 3, feature_std=[1.0] * 3),
+            lambda h: h["normalizer"]["feature_mean"].__setitem__(0, math.nan),
+            lambda h: h["normalizer"]["feature_std"].__setitem__(0, math.inf),
+            # Finite, but the forward pass overflows to NaN.
+            lambda h: h["normalizer"]["feature_mean"].__setitem__(0, 1.7e308),
         ],
-        ids=["missing", "null", "no-std", "zero-std", "wrong-length"],
+        ids=["missing", "null", "no-std", "zero-std", "wrong-length", "nan-mean", "infinite-std",
+             "overflowing-mean"],
     )
     def test_predict_model_header_without_valid_normalizer_exits_1(self, workdir, capsys, edit):
+        import warnings
+
         self._untrained_predict_inputs(workdir)
         self._rewrite_model_header(workdir / "model.fsmlp", edit)
-        assert self._predict(workdir) == 1
-        payload = json.loads(capsys.readouterr().err.strip())
+        with warnings.catch_warnings():
+            # A warning printed ahead of the payload would break stderr.
+            warnings.simplefilter("error")
+            assert self._predict(workdir) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        payload = json.loads(line)
         assert payload["error"] == "BadMagic"
         assert "model.fsmlp" in payload["message"]
 
@@ -785,6 +796,7 @@ class TestFuzzedJsonl:
     @example(command="train", line=0, key="sd_f", raw="1" * 401, damage=None)
     @example(command="ledger", line=0, key="count", raw="1e400", damage=None)
     @example(command="predict", line=3, key="delta", raw="[" * 2000, damage=None)
+    @example(command="train", line=0, key="sd_f", raw="1.406222759148972e+154", damage=None)
     def test_only_typed_errors_escape(self, trained, tmp_path, capsys,
                                       command, line, key, raw, damage):
         """One value of a valid JSONL input replaced by arbitrary JSON text,
@@ -805,3 +817,54 @@ class TestFuzzedJsonl:
             assert "error" in json.loads(payload)
         else:
             assert code == 0
+
+
+_BIG = "1" * 401  # an int too large for a float
+
+
+class TestMetricsAndBudgetEscapes:
+    """Metric lines that are not finite or do not pair by line number, and
+    budget counts too large for a float, exit 1 with one JSON line on
+    stderr and nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv, pred, gold, error, detail",
+        [
+            (["metrics", "mae"], "0.5\nnan\n", "0.5\n0.3\n", "ParseError", "{d}/pred, line 2"),
+            (["metrics", "mae"], "0.5\n0.7\n", "inf\n0.3\n", "ParseError", "{d}/gold, line 1"),
+            (["metrics", "mae"], "1e400\n", "0.5\n", "ParseError", "{d}/pred, line 1"),
+            (["metrics", "mae"], "1.7e308\n", "-1.7e308\n", "InvalidValue", "the mae of"),
+            (["metrics", "mae"], "0.5\n0.7\n", "0.5\n\n0.3\n", "ParseError", "{d}/gold, line 2"),
+            (["metrics", "em"], "SELECT 1\n\nSELECT 2\n", "SELECT 2\nSELECT 1\n\n",
+             "ParseError", "{d}/pred, line 2"),
+            (["metrics", "em"], "SELECT 1\nSELECT 2\n", "SELECT 1\n", "ParseError",
+             "{d}/gold, line 2"),
+            (["budget", "plan", "--n-pairs", _BIG], None, None, "InvalidValue", "--n-pairs"),
+            (["budget", "plan", "--n-pairs", "5", "--db-count", _BIG], None, None,
+             "InvalidValue", "--db-count"),
+            (["budget", "plan", "--n-pairs", "5", "--db-count", "2", "--set",
+              f"budget.cap_gen={_BIG}"], None, None, "InvalidValue", "budget.cap_gen"),
+            (["budget", "plan", "--n-pairs", "5", "--db-count", "2", "--set",
+              f"budget.cap_exec={_BIG}"], None, None, "InvalidValue", "budget.cap_exec"),
+        ],
+        ids=["mae-nan", "mae-inf", "mae-1e400", "mae-overflows", "mae-misaligned",
+             "em-misaligned", "em-gold-short", "plan-n-pairs", "plan-db-count", "plan-cap-gen",
+             "plan-cap-exec"],
+    )
+    def test_exits_1(self, tmp_path, capsys, argv, pred, gold, error, detail):
+        import warnings
+
+        if pred is not None:
+            (tmp_path / "pred").write_text(pred)
+            (tmp_path / "gold").write_text(gold)
+            argv = argv + ["--pred", str(tmp_path / "pred"), "--gold", str(tmp_path / "gold")]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == error
+        assert detail.format(d=tmp_path) in payload["message"]
+        assert captured.out == ""

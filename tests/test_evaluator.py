@@ -19,7 +19,8 @@ from driftgauge import (
     save_model,
     train,
 )
-from driftgauge.errors import BadMagic, ConfigMismatch, InsufficientData, ShapeMismatch
+from driftgauge.errors import (BadMagic, ConfigMismatch, InsufficientData, InvalidValue,
+                               ShapeMismatch)
 from driftgauge.evaluator import (
     LN_EPS,
     AdamState,
@@ -272,6 +273,18 @@ class TestTrain:
         object.__setattr__(bad, "accuracy", 1.2)
         with pytest.raises(ValueError):
             train(meta + [bad], TrainConfig(seed=0))
+
+    def test_overflowing_feature_statistics_rejected(self):
+        import dataclasses
+        import warnings
+
+        # Half the rows at 1.4e154: finite values whose variance overflows.
+        meta = [dataclasses.replace(m, delta=dataclasses.replace(m.delta, sd_f=1.4e154)) if i % 2 else m
+                for i, m in enumerate(synthetic_instances(12, seed=8))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidValue, match="feature_mean/std must be finite"):
+                train(meta, TrainConfig(seed=0))
 
     def test_mixed_digests_rejected(self):
         meta = synthetic_instances(8, seed=6) + synthetic_instances(8, seed=7, digest="other")

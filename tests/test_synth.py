@@ -3,6 +3,7 @@ import pytest
 
 from driftgauge import (
     GaussianWorkloadSpec,
+    Manifest,
     ShiftDescriptor,
     bench_swd,
     gen_gaussian_workload,
@@ -55,8 +56,8 @@ class TestGenGaussianWorkload:
 
     def test_workloads_satisfy_set_invariants(self):
         es = gen_gaussian_workload(spec(dim=5, count=321), seed=5)
-        assert es.manifest.count == es.n == 321
-        assert es.manifest.dim == es.dim == 5
+        assert (es.n, es.dim) == (321, 5)
+        assert es.manifest == Manifest(pooling="synthetic-gaussian", source_id="gaussian-d5-seed5")
         assert np.all(np.isfinite(es.data))
 
 

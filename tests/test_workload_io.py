@@ -28,9 +28,7 @@ MAGIC = b"FSEMB\x00\x00\x00"
 
 
 def make_set(rows, **manifest_kw):
-    data = np.asarray(rows, dtype=np.float32)
-    m = Manifest(count=data.shape[0], dim=data.shape[1], **manifest_kw)
-    return EmbeddingSet(data=data, manifest=m)
+    return EmbeddingSet(data=np.asarray(rows, dtype=np.float32), manifest=Manifest(**manifest_kw))
 
 
 class TestEmbeddingSet:
@@ -50,10 +48,6 @@ class TestEmbeddingSet:
         data[1, 0] = np.inf
         with pytest.raises(NonFiniteValue):
             EmbeddingSet(data=data)
-
-    def test_manifest_must_match_shape(self):
-        with pytest.raises(ValueError):
-            EmbeddingSet(data=np.ones((2, 3), dtype=np.float32), manifest=Manifest(count=5, dim=3))
 
     def test_data_is_read_only(self):
         es = make_set([[1.0, 2.0]])
@@ -190,7 +184,7 @@ class TestSaveLoad:
         save_embedding_set(make_set([[1.0, 2.0]], pooling="last-token"), tmp_path / "s.fsemb")
         (tmp_path / "s.fsemb.json").write_bytes(sidecar)
         back = load_embedding_set(tmp_path / "s.fsemb")
-        assert back.manifest == Manifest(count=1, dim=2)
+        assert back.manifest == Manifest()
 
     def test_sidecar_written(self, tmp_path):
         es = make_set([[1.0, 2.0]], pooling="last-token")
@@ -199,6 +193,27 @@ class TestSaveLoad:
 
         side = json.loads((tmp_path / "s.fsemb.json").read_text())
         assert side["count"] == 1 and side["dim"] == 2 and side["pooling"] == "last-token"
+
+    def test_golden_bytes(self, tmp_path):
+        # The header and the sidecar's count, dim and dtype come from the array.
+        es = make_set([[1.0, -2.0, 0.5], [3.0, 0.0, 4.0]], pooling="mean", source_id="demo")
+        save_embedding_set(es, tmp_path / "g.fsemb")
+        assert (tmp_path / "g.fsemb").read_bytes() == (
+            HEADER.pack(MAGIC, 1, 2, 3, 1) + struct.pack("<6f", 1.0, -2.0, 0.5, 3.0, 0.0, 4.0)
+        )
+        assert (tmp_path / "g.fsemb.json").read_bytes() == (
+            b'{\n  "count": 2,\n  "created_at": "1970-01-01T00:00:00Z",\n  "dim": 3,\n'
+            b'  "dtype": "f32",\n  "pooling": "mean",\n  "source_id": "demo"\n}\n'
+        )
+
+    def test_sidecar_shape_is_not_read(self, tmp_path):
+        save_embedding_set(make_set(np.ones((2, 3))), tmp_path / "s.fsemb")
+        (tmp_path / "s.fsemb.json").write_text(
+            '{"count": 5, "dim": 7, "dtype": "f64", "pooling": "cls", "source_id": "x"}'
+        )
+        back = load_embedding_set(tmp_path / "s.fsemb")
+        assert (back.n, back.dim) == (2, 3)
+        assert back.manifest == Manifest(pooling="cls", source_id="x")
 
 
 class TestLoadFuzz:
@@ -337,10 +352,10 @@ class TestSubsample:
         assert len(rows) == 15
         assert rows <= {tuple(r) for r in data.tolist()}
 
-    def test_manifest_count_updated(self):
+    def test_manifest_kept(self):
         es = make_set(np.ones((9, 2)), source_id="x")
         out = subsample(es, 4, seed=0)
-        assert out.manifest.count == 4 and out.manifest.source_id == "x"
+        assert out.n == 4 and out.manifest == es.manifest == Manifest(source_id="x")
 
     def test_size_exceeds_population(self):
         es = make_set([[1.0]])
