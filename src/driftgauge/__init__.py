@@ -82,7 +82,6 @@ from .synth import (
 from .workload import (
     DEFAULT_VARIANCE_FLOOR,
     EmbeddingSet,
-    Manifest,
     MomentSummary,
     load_embedding_set,
     moments,

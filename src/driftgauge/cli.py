@@ -30,6 +30,7 @@ from .meta_learning import MetaTask, adapt_to_model, meta_train
 from .meta_set import (
     BudgetLedger,
     MetaInstance,
+    build_meta_instance,
     jsonl_records,
     line_records,
     load_meta_set,
@@ -85,16 +86,18 @@ def _cmd_descriptors_compute(args) -> int:
     return 0
 
 
+def _require_digest(instances, expected: str, path: str) -> None:
+    """ConfigMismatch naming ``path`` if some instance's descriptors were not
+    computed under the configuration with digest ``expected``."""
+    if any(inst.delta.config_digest != expected for inst in instances):
+        raise ConfigMismatch(f"{path}: descriptors were not computed under the supplied config/seed")
+
+
 def _cmd_train(args) -> int:
     rc = _config_from(args)
     meta = load_meta_set(args.meta_set)
     swd_cfg = rc.swd_config()
-    expected = swd_cfg.digest(rc.variance_floor)
-    digests = {inst.delta.config_digest for inst in meta}
-    if digests != {expected}:
-        raise ConfigMismatch(
-            "meta-set descriptors were not computed under the supplied config/seed"
-        )
+    _require_digest(meta, swd_cfg.digest(rc.variance_floor), args.meta_set)
     params, norm, report = train(meta, rc.train_config())
     save_model(
         args.out,
@@ -179,13 +182,13 @@ def _cmd_meta_train(args) -> int:
     files = _files_in(args.tasks, ".jsonl")
     if not files:
         raise ParseError(f"no .jsonl task files in {args.tasks}")
-    instances = [inst for f in files for inst in load_meta_set(f)]
     swd_cfg = rc.swd_config()
     expected = swd_cfg.digest(rc.variance_floor)
-    if {inst.delta.config_digest for inst in instances} != {expected}:
-        raise ConfigMismatch(
-            "task descriptors were not computed under the supplied config/seed"
-        )
+    instances = []
+    for f in files:
+        task_set = load_meta_set(f)
+        _require_digest(task_set, expected, f)
+        instances += task_set
     tasks = _group_tasks(instances)
     theta, norm = meta_train(tasks, NUM_FEATURES, rc.reptile_config())
     save_model(
@@ -205,9 +208,7 @@ def _cmd_adapt(args) -> int:
     rc = _config_from(args)
     model = load_model(args.init)
     probe = load_meta_set(args.probe)
-    digests = {inst.delta.config_digest for inst in probe}
-    if digests != {model.normalizer.config_digest}:
-        raise ConfigMismatch("probe descriptors do not match the initialization's config")
+    _require_digest(probe, model.normalizer.config_digest, args.probe)
     theta = adapt_to_model(model.params, model.normalizer, probe, rc.reptile_config())
     save_model(
         args.out,
@@ -232,6 +233,9 @@ def _cmd_budget_plan(args) -> int:
         require("--db-count", FINITE, args.db_count)
     cm = rc.cost_model()
     plan = plan_budget(cm, args.n_pairs)
+    # Finite costs and counts can still overflow (or give 0 * inf) in products.
+    require("the cost per pair", FINITE, plan.cost_per_pair)
+    require("the expected cost", FINITE, plan.expected_cost)
     payload = plan.to_dict()
     payload["expected_cost_rounded"] = round(plan.expected_cost, 2)
     payload["summary"] = (
@@ -243,6 +247,7 @@ def _cmd_budget_plan(args) -> int:
         require("budget.cap_gen", FINITE, cap_gen)
         require("budget.cap_exec", FINITE, cap_exec)
         bound = worst_case_bound(cm, args.db_count, cap_gen, cap_exec)
+        require("the worst-case bound", FINITE, bound)
         payload["worst_case_bound"] = round(bound, 2)
         payload["worst_case_feasible"] = bound <= cm.total_budget
     payload["provenance"] = rc.provenance()
@@ -347,17 +352,19 @@ def _synth_spec(args, shift: float) -> GaussianWorkloadSpec:
     )
 
 
-def _stamp_seed(es, rc: RunConfig):
-    manifest = replace(es.manifest, source_id=f"{es.manifest.source_id};master_seed={rc.seed}")
-    return replace(es, manifest=manifest)
+def _save_synth(spec: GaussianWorkloadSpec, seed: int, rc: RunConfig, path: str) -> None:
+    """Generate ``spec``'s set under ``seed`` and save it; the sidecar names
+    both that seed and the master seed."""
+    es = gen_gaussian_workload(spec, seed)
+    save_embedding_set(es, path, pooling="synthetic-gaussian",
+                       source_id=f"gaussian-d{spec.dim}-seed{seed};master_seed={rc.seed}")
 
 
 def _cmd_synth_gen(args) -> int:
     rc = _config_from(args)
     spec = _synth_spec(args, args.mean_shift)
-    es = _stamp_seed(gen_gaussian_workload(spec, spawn_seed(rc.seed, 15)), rc)
-    save_embedding_set(es, args.out)
-    print(json.dumps({"n": es.n, "dim": es.dim, "out": args.out}, sort_keys=True))
+    _save_synth(spec, spawn_seed(rc.seed, 15), rc, args.out)
+    print(json.dumps({"n": spec.count, "dim": spec.dim, "out": args.out}, sort_keys=True))
     return 0
 
 
@@ -373,9 +380,8 @@ def _cmd_synth_family(args) -> int:
         raise IoFailure(f"cannot create {args.out_dir}: {exc}") from exc
     written = []
     for i, spec in enumerate(shift_family(base, shifts)):
-        es = _stamp_seed(gen_gaussian_workload(spec, spawn_seed(rc.seed, 16, i)), rc)
         path = os.path.join(args.out_dir, f"shift_{i:03d}.fsemb")
-        save_embedding_set(es, path)
+        _save_synth(spec, spawn_seed(rc.seed, 16, i), rc, path)
         written.append({"shift": shifts[i], "path": path})
     print(json.dumps({"written": written}, sort_keys=True))
     return 0
@@ -396,20 +402,12 @@ def _cmd_synth_label(args) -> int:
     swd_cfg = rc.swd_config()
     instances = []
     for i, path in enumerate(sample_paths):
-        sample = load_embedding_set(path)
-        delta = compute_delta(train_set, sample, swd_cfg, rc.variance_floor)
+        inst = build_meta_instance(train_set, load_embedding_set(path), 0.0, swd_cfg,
+                                   args.task_id, os.path.basename(path), rc.variance_floor)
         acc = synthetic_accuracy_fn(
-            delta, args.task_bias, spawn_seed(rc.seed, 17, i), args.noise_scale
+            inst.delta, args.task_bias, spawn_seed(rc.seed, 17, i), args.noise_scale
         )
-        instances.append(
-            MetaInstance(
-                delta=delta,
-                accuracy=acc,
-                task_id=args.task_id,
-                sample_set_id=os.path.basename(path),
-                sample_set_size=sample.n,
-            )
-        )
+        instances.append(replace(inst, accuracy=acc))
     save_meta_set(instances, args.out)
     print(json.dumps({"instances": len(instances), "out": args.out}, sort_keys=True))
     return 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyProbe, InsufficientTasks, ShapeMismatch
+from .errors import EmptyProbe, InsufficientData, InsufficientTasks, ShapeMismatch
 from .evaluator import (
     MLPParams,
     Normalizer,
@@ -39,7 +39,9 @@ class MetaTask:
     def __post_init__(self):
         object.__setattr__(self, "instances", tuple(self.instances))
         if len(self.instances) < 2:
-            raise ValueError("a task needs at least two instances (adapt + eval)")
+            raise InsufficientData(
+                f"task {self.task_id!r} needs at least two instances (adapt + eval)"
+            )
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .descriptors import SWDConfig, ShiftDescriptor, hybrid_swd
 from .seeding import rng_for, spawn_seed
-from .workload import EmbeddingSet, Manifest, _atomic_write
+from .workload import EmbeddingSet, _atomic_write
 
 # Fixed label-function constants, published so tests can reproduce labels.
 ACCURACY_WEIGHTS = np.array([-0.9, -0.6, -0.4, -1.1, -0.5])
@@ -74,8 +74,7 @@ def gen_gaussian_workload(spec: GaussianWorkloadSpec, seed: int) -> EmbeddingSet
         means = np.stack([m for _, m, _ in spec.mixture])
         stds = np.stack([s for _, _, s in spec.mixture])
         data = means[comp] + noise * stds[comp]
-    manifest = Manifest(pooling="synthetic-gaussian", source_id=f"gaussian-d{spec.dim}-seed{seed}")
-    return EmbeddingSet(data=data.astype(np.float32), manifest=manifest)
+    return EmbeddingSet(data.astype(np.float32))
 
 
 def shift_family(

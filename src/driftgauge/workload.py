@@ -2,10 +2,10 @@
 
 All workload data enters the descriptor kernels through this module.  Sets
 are stored on disk as ``.fsemb`` files: a fixed binary header followed by the
-row-major float32 payload, with a ``.fsemb.json`` sidecar for people and
-other tools: the shape and dtype, written from the array, plus the
-manifest's descriptive fields.  Loading reads only those descriptive fields
-from the sidecar; the header alone defines the set.
+row-major float32 payload.  Saving also writes a ``.fsemb.json`` sidecar for
+people and other tools: the shape and dtype, written from the array, plus
+how the rows were pooled and where they came from.  Loading never reads it;
+the header alone defines the set.
 
 File layout (little-endian):
 
@@ -23,7 +23,7 @@ import json
 import os
 import struct
 import tempfile
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,8 +43,8 @@ VERSION = 1
 _F32_CODE = 1  # the header's dtype byte; float32 is the only dtype
 _HEADER = struct.Struct("<8sIQIB")
 
-# Epoch placeholder keeps artifact bytes reproducible; callers that want real
-# wall-clock provenance set created_at explicitly.
+# The sidecar's created_at: a fixed placeholder keeps artifact bytes
+# reproducible.
 EPOCH_TIMESTAMP = "1970-01-01T00:00:00Z"
 
 DEFAULT_VARIANCE_FLOOR = 1e-8
@@ -60,21 +60,10 @@ _BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
-class Manifest:
-    """What a set is, not its shape: how its rows were pooled, where they
-    came from and when.  The shape lives in ``EmbeddingSet.data`` alone."""
-
-    pooling: str = "unspecified"
-    source_id: str = ""
-    created_at: str = EPOCH_TIMESTAMP
-
-
-@dataclass(frozen=True)
 class EmbeddingSet:
-    """An n x D matrix of pooled representation vectors plus its manifest.
+    """An n x D matrix of pooled representation vectors; the array is the
+    whole set, shape (``n``, ``dim``) included.
 
-    The array is the one record of the set's shape (``n``, ``dim``); the
-    manifest only describes it, so any manifest fits any array.
     Immutable after construction; safe for concurrent reads.  Values
     derived from the set are memoized on it (see ``_memo``), so a source
     kept resident across many targets pays for them once.
@@ -88,7 +77,6 @@ class EmbeddingSet:
     """
 
     data: np.ndarray
-    manifest: Manifest = field(default_factory=Manifest)
 
     def __post_init__(self):
         data = np.require(np.asarray(self.data, np.float32), requirements=["C", "A"])
@@ -145,17 +133,20 @@ class MomentSummary:
         return np.sqrt(self.var)
 
 
-def save_embedding_set(es: EmbeddingSet, path: str | os.PathLike) -> None:
+def save_embedding_set(es: EmbeddingSet, path: str | os.PathLike,
+                       pooling: str = "unspecified", source_id: str = "") -> None:
     """Write the binary file plus its JSON sidecar, atomically.
 
     ``load_embedding_set(save path)`` reproduces the payload bit-exactly.
     The header and the sidecar's ``count``, ``dim`` and ``dtype`` come from
-    the array.
+    the array; ``pooling`` and ``source_id`` only describe the rows, and
+    ``created_at`` is always ``EPOCH_TIMESTAMP``.  Nothing reads them back.
     """
     path = os.fspath(path)
     header = _HEADER.pack(MAGIC, VERSION, es.n, es.dim, _F32_CODE)
     payload = es.data.astype("<f4", copy=False).tobytes(order="C")
-    side = {"count": es.n, "dim": es.dim, "dtype": "f32", **asdict(es.manifest)}
+    side = {"count": es.n, "dim": es.dim, "dtype": "f32", "pooling": pooling,
+            "source_id": source_id, "created_at": EPOCH_TIMESTAMP}
     sidecar = json.dumps(side, indent=2, sort_keys=True) + "\n"
     _atomic_write(path, header + payload)
     _atomic_write(path + ".json", sidecar.encode("utf-8"))
@@ -169,8 +160,8 @@ def load_embedding_set(path: str | os.PathLike) -> EmbeddingSet:
     is the (count, dim) array allocated, so a header that claims more rows
     than the file holds fails without allocating.  The payload is read
     straight into that array, which is aligned, unlike a view at the
-    25-byte header offset, so BLAS kernels take it without a copy.  Every
-    bad file raises a ``DriftGaugeError``.
+    25-byte header offset, so BLAS kernels take it without a copy.  The
+    sidecar is not opened.  Every bad file raises a ``DriftGaugeError``.
     """
     path = os.fspath(path)
     try:
@@ -199,22 +190,7 @@ def load_embedding_set(path: str | os.PathLike) -> EmbeddingSet:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     if read != expected:
         raise TruncatedPayload(f"{path}: read {read} payload bytes, expected {expected}")
-    return EmbeddingSet(data=data, manifest=_read_sidecar(path))
-
-
-def _read_sidecar(path: str) -> Manifest:
-    """The manifest from the sidecar's descriptive fields.  Its ``count``,
-    ``dim`` and ``dtype`` are not read, and a sidecar that is missing,
-    unreadable or not a JSON object is ignored, since the header alone
-    defines the set."""
-    try:
-        with open(path + ".json", "r", encoding="utf-8") as fh:
-            side = json.load(fh)
-    except (OSError, ValueError):
-        side = {}
-    if not isinstance(side, dict):
-        side = {}
-    return Manifest(**{f.name: side[f.name] for f in fields(Manifest) if f.name in side})
+    return EmbeddingSet(data)
 
 
 def _atomic_write(path: str, blob: bytes) -> None:
@@ -298,7 +274,7 @@ def subsample(es: EmbeddingSet, size: int, seed: int) -> EmbeddingSet:
     if not 1 <= size <= es.n:
         raise SizeExceedsPopulation(f"requested {size} rows from a set of {es.n}")
     idx = rng_for(seed).choice(es.n, size=size, replace=False)
-    return EmbeddingSet(data=es.data[idx], manifest=es.manifest)
+    return EmbeddingSet(es.data[idx])
 
 
 def check_same_dim(a_dim: int, b_dim: int, what: str) -> None:

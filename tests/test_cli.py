@@ -587,6 +587,15 @@ class TestCliWorkflow:
         assert (workdir / "a.fsemb").read_bytes() == (workdir / "b.fsemb").read_bytes()
         assert (workdir / "a.fsemb.json").read_bytes() == (workdir / "b.fsemb.json").read_bytes()
 
+    def test_synth_gen_sidecar_golden_bytes(self, workdir):
+        assert cli("synth", "gen", "--dim", 2, "--count", 3, "--seed", 7,
+                   "--out", workdir / "g.fsemb") == 0
+        assert (workdir / "g.fsemb.json").read_bytes() == (
+            b'{\n  "count": 3,\n  "created_at": "1970-01-01T00:00:00Z",\n  "dim": 2,\n'
+            b'  "dtype": "f32",\n  "pooling": "synthetic-gaussian",\n'
+            b'  "source_id": "gaussian-d2-seed9048523512618987165;master_seed=7"\n}\n'
+        )
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
@@ -846,10 +855,18 @@ class TestMetricsAndBudgetEscapes:
               f"budget.cap_gen={_BIG}"], None, None, "InvalidValue", "budget.cap_gen"),
             (["budget", "plan", "--n-pairs", "5", "--db-count", "2", "--set",
               f"budget.cap_exec={_BIG}"], None, None, "InvalidValue", "budget.cap_exec"),
+            (["budget", "plan", "--n-pairs", "5", "--set", "budget.c_gen=1e300", "--set",
+              "budget.gen_multiplier=1e300"], None, None, "InvalidValue", "the cost per pair"),
+            (["budget", "plan", "--n-pairs", "1", "--db-count", str(10**27), "--set",
+              f"budget.cap_gen={10**300}"], None, None, "InvalidValue", "the worst-case bound"),
+            (["budget", "plan", "--n-pairs", "1", "--db-count", "0", "--set", "budget.c_gen=1e300",
+              "--set", f"budget.cap_gen={10**300}"], None, None, "InvalidValue",
+             "the worst-case bound must be a finite float, got nan"),
         ],
         ids=["mae-nan", "mae-inf", "mae-1e400", "mae-overflows", "mae-misaligned",
              "em-misaligned", "em-gold-short", "plan-n-pairs", "plan-db-count", "plan-cap-gen",
-             "plan-cap-exec"],
+             "plan-cap-exec", "plan-cost-per-pair-overflows", "plan-bound-overflows",
+             "plan-bound-zero-times-inf"],
     )
     def test_exits_1(self, tmp_path, capsys, argv, pred, gold, error, detail):
         import warnings
@@ -868,3 +885,50 @@ class TestMetricsAndBudgetEscapes:
         assert payload["error"] == error
         assert detail.format(d=tmp_path) in payload["message"]
         assert captured.out == ""
+
+
+class TestEmptyOrSmallMetaSets:
+    """A meta-set with no instances, or a task with one, reaches the
+    library's own typed error; a descriptor digest that differs is a
+    ConfigMismatch naming the file.  Each exits 1 with one JSON line on
+    stderr and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "argv, error, detail",
+        [
+            (["train", "--meta-set", "{o}/empty.jsonl"], "InsufficientData", "got 0"),
+            (["meta-train", "--tasks", "{o}/empty"], "InsufficientTasks", "meta task"),
+            (["adapt", "--init", "{d}/model.fsmlp", "--probe", "{o}/empty.jsonl"],
+             "EmptyProbe", "empty"),
+            (["meta-train", "--tasks", "{o}/one"], "InsufficientData", "task 'task0'"),
+            (["train", "--meta-set", "{d}/meta.jsonl", "--seed", "4"], "ConfigMismatch",
+             "{d}/meta.jsonl"),
+            (["meta-train", "--tasks", "{o}/one", "--seed", "4"], "ConfigMismatch",
+             "{o}/one/a.jsonl"),
+            (["adapt", "--init", "{d}/model.fsmlp", "--probe", "{o}/other.jsonl"],
+             "ConfigMismatch", "{o}/other.jsonl"),
+        ],
+        ids=["train-empty", "meta-train-empty-tasks", "adapt-empty-probe",
+             "meta-train-one-instance-task", "train-other-seed", "meta-train-other-seed",
+             "adapt-probe-other-config"],
+    )
+    def test_exits_1(self, trained, tmp_path, capsys, argv, error, detail):
+        (tmp_path / "empty.jsonl").write_text("")
+        (tmp_path / "empty").mkdir()
+        (tmp_path / "empty" / "a.jsonl").write_text("")
+        (tmp_path / "one").mkdir()
+        first = (trained / "meta.jsonl").read_text().splitlines()[0]
+        (tmp_path / "one" / "a.jsonl").write_text(first + "\n")
+        other = json.loads(first)
+        other["delta"]["config_digest"] = "other"
+        (tmp_path / "other.jsonl").write_text(json.dumps(other) + "\n")
+        argv = [a.format(d=trained, o=tmp_path) for a in argv] + ["--out", str(tmp_path / "x")]
+        capsys.readouterr()
+        assert run(argv if "--seed" in argv else argv + ["--seed", "3"]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == error
+        assert detail.format(d=trained, o=tmp_path) in payload["message"]
+        assert captured.out == ""
+        assert not (tmp_path / "x").exists()

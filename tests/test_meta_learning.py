@@ -11,7 +11,7 @@ from driftgauge import (
     meta_train,
     reptile_outer,
 )
-from driftgauge.errors import EmptyProbe, InsufficientTasks, ShapeMismatch
+from driftgauge.errors import EmptyProbe, InsufficientData, InsufficientTasks, ShapeMismatch
 from driftgauge.evaluator import MLPParams, loss_and_grad, zeros_like
 from driftgauge.meta_learning import _gd_steps
 from helpers import synthetic_instances
@@ -152,6 +152,10 @@ class TestMetaTrain:
     def test_requires_tasks(self):
         with pytest.raises(InsufficientTasks):
             meta_train([], 5, ReptileConfig(seed=0))
+
+    def test_task_with_one_instance_named(self):
+        with pytest.raises(InsufficientData, match="task 'lone'"):
+            MetaTask(task_id="lone", instances=synthetic_instances(1, seed=2))
 
     def test_single_round_epsilon_one_equals_inner_adapt(self):
         insts = synthetic_instances(10, seed=3)

@@ -1,3 +1,5 @@
+import builtins
+import dataclasses
 import struct
 
 import numpy as np
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 
 from driftgauge import (
     EmbeddingSet,
-    Manifest,
     load_embedding_set,
     moments,
     save_embedding_set,
@@ -27,8 +28,8 @@ HEADER = struct.Struct("<8sIQIB")
 MAGIC = b"FSEMB\x00\x00\x00"
 
 
-def make_set(rows, **manifest_kw):
-    return EmbeddingSet(data=np.asarray(rows, dtype=np.float32), manifest=Manifest(**manifest_kw))
+def make_set(rows):
+    return EmbeddingSet(data=np.asarray(rows, dtype=np.float32))
 
 
 class TestEmbeddingSet:
@@ -48,6 +49,9 @@ class TestEmbeddingSet:
         data[1, 0] = np.inf
         with pytest.raises(NonFiniteValue):
             EmbeddingSet(data=data)
+
+    def test_the_array_is_the_whole_set(self):
+        assert [f.name for f in dataclasses.fields(EmbeddingSet)] == ["data"]
 
     def test_data_is_read_only(self):
         es = make_set([[1.0, 2.0]])
@@ -85,12 +89,11 @@ class TestEmbeddingSet:
 class TestSaveLoad:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
-        es = make_set(rng.standard_normal((7, 4)), pooling="mean-last-layer", source_id="demo")
+        es = make_set(rng.standard_normal((7, 4)))
         path = tmp_path / "a.fsemb"
-        save_embedding_set(es, path)
+        save_embedding_set(es, path, pooling="mean-last-layer", source_id="demo")
         back = load_embedding_set(path)
         assert back.data.tobytes() == es.data.tobytes()
-        assert back.manifest == es.manifest
 
     def test_round_trip_many_random_sets(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -179,25 +182,48 @@ class TestSaveLoad:
         with pytest.raises(IoFailure):
             save_embedding_set(es, tmp_path / "no" / "such" / "dir" / "x.fsemb")
 
-    @pytest.mark.parametrize("sidecar", [b"[1, 2]", b"\xff\xfe not utf-8", b"{broken"])
-    def test_unusable_sidecar_is_ignored(self, tmp_path, sidecar):
-        save_embedding_set(make_set([[1.0, 2.0]], pooling="last-token"), tmp_path / "s.fsemb")
-        (tmp_path / "s.fsemb.json").write_bytes(sidecar)
+    @pytest.mark.parametrize(
+        "sidecar",
+        [b"[1, 2]", b"\xff\xfe not utf-8", b"{broken",
+         pytest.param("written", id="written"), pytest.param(None, id="missing"),
+         pytest.param("dir", id="directory")],
+    )
+    def test_unusable_sidecar_is_ignored(self, tmp_path, monkeypatch, sidecar):
+        # Loading opens the .fsemb alone, whatever lies at the sidecar's path.
+        es = make_set([[1.0, 2.0]])
+        save_embedding_set(es, tmp_path / "s.fsemb", pooling="last-token")
+        side = tmp_path / "s.fsemb.json"
+        if sidecar != "written":
+            side.unlink()
+        if sidecar == "dir":
+            side.mkdir()
+        elif isinstance(sidecar, bytes):
+            side.write_bytes(sidecar)
+        opened = []
+        real_open = builtins.open
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
         back = load_embedding_set(tmp_path / "s.fsemb")
-        assert back.manifest == Manifest()
+        monkeypatch.undo()
+        assert opened == [str(tmp_path / "s.fsemb")]
+        assert back.data.tobytes() == es.data.tobytes()
 
     def test_sidecar_written(self, tmp_path):
-        es = make_set([[1.0, 2.0]], pooling="last-token")
-        save_embedding_set(es, tmp_path / "s.fsemb")
+        save_embedding_set(make_set([[1.0, 2.0]]), tmp_path / "s.fsemb", pooling="last-token")
         import json
 
         side = json.loads((tmp_path / "s.fsemb.json").read_text())
         assert side["count"] == 1 and side["dim"] == 2 and side["pooling"] == "last-token"
+        assert side["source_id"] == "" and side["created_at"] == "1970-01-01T00:00:00Z"
 
     def test_golden_bytes(self, tmp_path):
         # The header and the sidecar's count, dim and dtype come from the array.
-        es = make_set([[1.0, -2.0, 0.5], [3.0, 0.0, 4.0]], pooling="mean", source_id="demo")
-        save_embedding_set(es, tmp_path / "g.fsemb")
+        es = make_set([[1.0, -2.0, 0.5], [3.0, 0.0, 4.0]])
+        save_embedding_set(es, tmp_path / "g.fsemb", pooling="mean", source_id="demo")
         assert (tmp_path / "g.fsemb").read_bytes() == (
             HEADER.pack(MAGIC, 1, 2, 3, 1) + struct.pack("<6f", 1.0, -2.0, 0.5, 3.0, 0.0, 4.0)
         )
@@ -213,7 +239,6 @@ class TestSaveLoad:
         )
         back = load_embedding_set(tmp_path / "s.fsemb")
         assert (back.n, back.dim) == (2, 3)
-        assert back.manifest == Manifest(pooling="cls", source_id="x")
 
 
 class TestLoadFuzz:
@@ -351,11 +376,6 @@ class TestSubsample:
         rows = {tuple(r) for r in out.data.tolist()}
         assert len(rows) == 15
         assert rows <= {tuple(r) for r in data.tolist()}
-
-    def test_manifest_kept(self):
-        es = make_set(np.ones((9, 2)), source_id="x")
-        out = subsample(es, 4, seed=0)
-        assert out.n == 4 and out.manifest == es.manifest == Manifest(source_id="x")
 
     def test_size_exceeds_population(self):
         es = make_set([[1.0]])
