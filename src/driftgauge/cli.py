@@ -47,7 +47,7 @@ from .synth import (
     shift_family,
     synthetic_accuracy_fn,
 )
-from .workload import _atomic_write, load_embedding_set, save_embedding_set
+from .workload import EmbeddingSet, _atomic_write, load_embedding_set, save_embedding_set
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -342,6 +342,7 @@ def _synth_spec(args, shift: float) -> GaussianWorkloadSpec:
     require("--dim", POSITIVE, args.dim)
     require("--count", POSITIVE, args.count)
     require("--stddev", POSITIVE, args.stddev)
+    require("--stddev", FINITE, args.stddev)
     mean = np.zeros(args.dim)
     mean[0] = shift
     return GaussianWorkloadSpec(
@@ -352,18 +353,29 @@ def _synth_spec(args, shift: float) -> GaussianWorkloadSpec:
     )
 
 
-def _save_synth(spec: GaussianWorkloadSpec, seed: int, rc: RunConfig, path: str) -> None:
-    """Generate ``spec``'s set under ``seed`` and save it; the sidecar names
-    both that seed and the master seed."""
-    es = gen_gaussian_workload(spec, seed)
+def _gen_synth(spec: GaussianWorkloadSpec, seed: int, flags: str) -> EmbeddingSet:
+    """Generate ``spec``'s set under ``seed``; values beyond the float32
+    range are ``InvalidValue`` naming ``flags``."""
+    try:
+        return gen_gaussian_workload(spec, seed)
+    except ValueError as exc:
+        raise InvalidValue(f"{flags}: {exc}") from None
+
+
+def _save_synth(es: EmbeddingSet, seed: int, rc: RunConfig, path: str) -> None:
+    """Save a set generated under ``seed``; the sidecar names both that seed
+    and the master seed."""
     save_embedding_set(es, path, pooling="synthetic-gaussian",
-                       source_id=f"gaussian-d{spec.dim}-seed{seed};master_seed={rc.seed}")
+                       source_id=f"gaussian-d{es.dim}-seed{seed};master_seed={rc.seed}")
 
 
 def _cmd_synth_gen(args) -> int:
     rc = _config_from(args)
+    require("--mean-shift", FINITE, args.mean_shift)
     spec = _synth_spec(args, args.mean_shift)
-    _save_synth(spec, spawn_seed(rc.seed, 15), rc, args.out)
+    seed = spawn_seed(rc.seed, 15)
+    es = _gen_synth(spec, seed, f"--mean-shift {args.mean_shift} with --stddev {args.stddev}")
+    _save_synth(es, seed, rc, args.out)
     print(json.dumps({"n": spec.count, "dim": spec.dim, "out": args.out}, sort_keys=True))
     return 0
 
@@ -371,17 +383,22 @@ def _cmd_synth_gen(args) -> int:
 def _cmd_synth_family(args) -> int:
     rc = _config_from(args)
     shifts = _numbers(args.shifts, "--shifts", float)
+    require("--shifts: every entry", FINITE, *shifts)
     if shifts != sorted(shifts):
         raise InvalidValue(f"--shifts must be ascending, got {args.shifts!r}")
     base = _synth_spec(args, 0.0)
+    # Every set is generated, and so checked, before the first is written.
+    flags = f"--shifts {args.shifts} with --stddev {args.stddev}"
+    seeds = [spawn_seed(rc.seed, 16, i) for i in range(len(shifts))]
+    sets = [_gen_synth(spec, seed, flags) for spec, seed in zip(shift_family(base, shifts), seeds)]
     try:
         os.makedirs(args.out_dir, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot create {args.out_dir}: {exc}") from exc
     written = []
-    for i, spec in enumerate(shift_family(base, shifts)):
+    for i, (es, seed) in enumerate(zip(sets, seeds)):
         path = os.path.join(args.out_dir, f"shift_{i:03d}.fsemb")
-        _save_synth(spec, spawn_seed(rc.seed, 16, i), rc, path)
+        _save_synth(es, seed, rc, path)
         written.append({"shift": shifts[i], "path": path})
     print(json.dumps({"written": written}, sort_keys=True))
     return 0

@@ -20,6 +20,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -32,6 +34,7 @@ from .workload import (
     MomentSummary,
     _float64_blocks,
     _memo,
+    _moments,
     check_same_dim,
     moments,
 )
@@ -39,6 +42,13 @@ from .workload import (
 # Randomized range-finder knobs; the asymptotic cost is O((n+m) * D * k).
 PCA_OVERSAMPLE = 8
 PCA_POWER_ITERS = 2
+
+# From this many bytes of float32 target data up, ``compute_delta`` runs the
+# target's moments and radii on a second thread beside the sliced distance.
+# It is the smallest payload at which the overlap won at least 9 of 10
+# interleaved trials both at D = 32 and at D = 1024 (2 vCPUs, one BLAS
+# thread; BENCH_23.json).  At 1 MiB, D = 1024 won 8 and 6 of 10.
+_OVERLAP_BYTES = 1 << 21
 
 FEATURE_NAMES = ("sd_f", "sd_m_mean", "sd_m_std", "sd_sw", "euclid_mean")
 NUM_FEATURES = len(FEATURE_NAMES)
@@ -206,6 +216,12 @@ def mahalanobis_descriptor(ms_src: MomentSummary, target: EmbeddingSet) -> tuple
     both statistics.
     """
     check_same_dim(ms_src.dim, target.dim, "source stats vs target")
+    return _radius_stats(ms_src, target)
+
+
+def _radius_stats(ms_src: MomentSummary, target: EmbeddingSet) -> tuple[float, float]:
+    """``mahalanobis_descriptor`` for dimensions already checked: one pass
+    over float64 row blocks of the target."""
     std = ms_src.std
     radii = np.empty(target.n)
     start = 0
@@ -500,16 +516,52 @@ def compute_delta(
     variance_floor: float = DEFAULT_VARIANCE_FLOOR,
 ) -> ShiftDescriptor:
     """Assemble the full shift vector.  Argument order is (source, target);
-    the source set is always the whitening reference."""
+    the source set is always the whitening reference.
+
+    A target of at least ``_OVERLAP_BYTES`` of float32 data, in a process
+    that may use two or more CPUs, has its moments and whitened radii
+    computed on one worker thread while this thread runs ``hybrid_swd``.
+    The worker runs the same kernels on the same blocks, so every value and
+    memo entry keeps its bits.  It calls only the private kernels
+    ``workload._moments`` and ``_radius_stats``: a public function may be
+    wrapped from outside (``perfbench/spans.py`` does, on one span stack per
+    process), and such a wrapper would then run on two threads at once.
+    The pool is made for the call and shut down before it returns, so a
+    worker exception re-raises here with its type, and no thread outlives
+    the call.  Smaller targets run the three passes one after the other.
+    """
     check_same_dim(src.dim, tgt.dim, "source vs target")
     ms_src = moments(src, variance_floor)
-    ms_tgt = moments(tgt, variance_floor)
-    sd_m_mean, sd_m_std = mahalanobis_descriptor(ms_src, tgt)
+    if tgt.data.nbytes >= _OVERLAP_BYTES and _usable_cpus() >= 2:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            side = pool.submit(_target_stats, ms_src, tgt, variance_floor)
+            sd_sw = hybrid_swd(src, tgt, cfg)
+            ms_tgt, (sd_m_mean, sd_m_std) = side.result()
+    else:
+        ms_tgt = moments(tgt, variance_floor)
+        sd_m_mean, sd_m_std = mahalanobis_descriptor(ms_src, tgt)
+        sd_sw = hybrid_swd(src, tgt, cfg)
     return ShiftDescriptor(
         sd_f=frechet_descriptor(ms_src, ms_tgt),
         sd_m_mean=sd_m_mean,
         sd_m_std=sd_m_std,
-        sd_sw=hybrid_swd(src, tgt, cfg),
+        sd_sw=sd_sw,
         euclid_mean=float(np.linalg.norm(ms_tgt.mean - ms_src.mean)),
         config_digest=cfg.digest(variance_floor),
     )
+
+
+def _target_stats(
+    ms_src: MomentSummary, tgt: EmbeddingSet, variance_floor: float
+) -> tuple[MomentSummary, tuple[float, float]]:
+    """The target's moments and whitened-radius statistics, through private
+    kernels only: ``compute_delta``'s worker thread runs it."""
+    return _moments(tgt, variance_floor), _radius_stats(ms_src, tgt)
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        return os.cpu_count() or 1

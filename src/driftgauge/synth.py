@@ -29,6 +29,8 @@ from .workload import EmbeddingSet, _atomic_write
 ACCURACY_WEIGHTS = np.array([-0.9, -0.6, -0.4, -1.1, -0.5])
 ACCURACY_FEATURE_SCALE = np.array([12.0, 4.0, 1.5, 3.0, 3.0])
 
+_F32_MAX = float(np.finfo(np.float32).max)
+
 
 @dataclass(frozen=True)
 class GaussianWorkloadSpec:
@@ -63,17 +65,25 @@ class GaussianWorkloadSpec:
 
 
 def gen_gaussian_workload(spec: GaussianWorkloadSpec, seed: int) -> EmbeddingSet:
-    """i.i.d. samples from the spec's distribution, deterministic per seed."""
+    """i.i.d. samples from the spec's distribution, deterministic per seed.
+
+    A sample beyond the float32 range (or NaN) raises ``ValueError`` before
+    the cast that would turn it into an infinity.
+    """
     rng = rng_for(seed)
     noise = rng.standard_normal((spec.count, spec.dim))
-    if spec.mixture is None:
-        data = spec.mean + noise * spec.stddev
-    else:
-        weights = np.array([w for w, _, _ in spec.mixture])
-        comp = rng.choice(len(spec.mixture), size=spec.count, p=weights)
-        means = np.stack([m for _, m, _ in spec.mixture])
-        stds = np.stack([s for _, _, s in spec.mixture])
-        data = means[comp] + noise * stds[comp]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.mixture is None:
+            data = spec.mean + noise * spec.stddev
+        else:
+            weights = np.array([w for w, _, _ in spec.mixture])
+            comp = rng.choice(len(spec.mixture), size=spec.count, p=weights)
+            means = np.stack([m for _, m, _ in spec.mixture])
+            stds = np.stack([s for _, _, s in spec.mixture])
+            data = means[comp] + noise * stds[comp]
+    # NaN fails the comparison, as do values past the float32 limit.
+    if not max(data.max(), -data.min()) <= _F32_MAX:
+        raise ValueError(f"generated values exceed the float32 range (+-{_F32_MAX:.4g})")
     return EmbeddingSet(data.astype(np.float32))
 
 

@@ -220,6 +220,13 @@ def moments(es: EmbeddingSet, variance_floor: float = DEFAULT_VARIANCE_FLOOR) ->
     """
     if variance_floor <= 0:
         raise ValueError("variance_floor must be positive")
+    return _moments(es, variance_floor)
+
+
+def _moments(es: EmbeddingSet, variance_floor: float) -> MomentSummary:
+    """``moments`` for a floor already checked: the memo lookup and the two
+    passes.  ``descriptors.compute_delta`` calls it from its second thread,
+    where no public function may run."""
     memo = _memo(es)
     key = ("moments", variance_floor)
     hit = memo.get(key)
@@ -247,7 +254,11 @@ def _memo(es: EmbeddingSet) -> dict:
     and the memo is freed with the set.  Entries hold no reference to any
     set.  It trusts that ``data`` is never written.  Concurrent readers are
     safe: two threads may both compute a missing entry, and both get equal
-    values.  Keys:
+    values.  Two writers can run at once on one target:
+    ``descriptors.compute_delta``'s second thread adds the target's
+    moments through ``_moments`` while the calling thread adds its basis
+    through ``hybrid_swd``; each ``setdefault`` and item assignment is one
+    atomic dict operation, and the two write different keys.  Keys:
 
     * ``("moments", floor)``: the ``MomentSummary`` from ``moments``;
     * ``("curves", fixed-row bytes, Q)``: ``(centre, curves)``, the set's

@@ -617,6 +617,7 @@ _PREDICT = ["predict", "--model", "{d}/model.fsmlp", "--source", "{d}/src.fsemb"
             "--target", "{d}/fam/shift_003.fsemb", "--calib", "{d}/meta.jsonl", "--out", "{d}/x"]
 _LABEL = ["synth", "label", "--train", "{d}/src.fsemb", "--samples-dir", "{d}/fam", "--out", "{d}/x"]
 _LEDGER = ["budget", "ledger", "--charges", "{d}/charges.jsonl", "--out", "{d}/x"]
+_SYNTH_GEN = ["synth", "gen", "--dim", "3", "--count", "5", "--out", "{d}/x"]
 _COMPUTE = ["descriptors", "compute", "--source", "{d}/src.fsemb",
             "--target", "{d}/fam/shift_003.fsemb", "--out", "{d}/x"]
 
@@ -651,14 +652,24 @@ class TestBadSettingOrFlag:
              "InvalidValue", "[swd]"),
             (_COMPUTE + ["--config", "{d}/absent.cfg"], "MissingFile", "absent.cfg"),
             (_COMPUTE + ["--config", "{d}/latin1.cfg"], "ParseError", "not UTF-8"),
+            (_SYNTH_GEN + ["--stddev", "1e300"], "InvalidValue", "--stddev"),
+            (_SYNTH_GEN + ["--stddev", "inf"], "InvalidValue", "--stddev"),
+            (_SYNTH_GEN + ["--mean-shift", "nan"], "InvalidValue", "--mean-shift"),
+            (_SYNTH_GEN + ["--mean-shift", "1e39"], "InvalidValue", "--mean-shift"),
+            (["synth", "family", "--dim", "3", "--count", "5", "--shifts", "0,1e300",
+              "--out-dir", "{d}/x"], "InvalidValue", "--shifts"),
         ],
         ids=["predict-alpha-flag", "predict-alpha-setting", "variance-floor-0", "swd-k-pca-0",
              "train-dropout-1", "train-lr0-nan", "plan-negative-pairs", "plan-negative-db-count",
              "plan-negative-cap", "ledger-negative-cap", "ledger-total-nan", "ledger-total-inf",
              "ledger-total-overflows-units", "label-negative-noise", "label-infinite-noise",
              "label-nan-task-bias",
-             "bench-quantiles-0", "missing-config", "non-utf8-config"],
+             "bench-quantiles-0", "missing-config", "non-utf8-config", "synth-stddev-overflows",
+             "synth-stddev-inf", "synth-mean-shift-nan", "synth-mean-shift-overflows",
+             "synth-family-shift-overflows"],
     )
+    # A numpy warning would print ahead of the JSON line on stderr.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exits_1(self, trained, capsys, argv, error, detail):
         capsys.readouterr()
         assert cli(*(a.format(d=trained) for a in argv), "--seed", 3) == 1

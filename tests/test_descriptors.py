@@ -1,4 +1,9 @@
+import importlib
+import importlib.util
 import math
+import os
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -21,7 +26,7 @@ from driftgauge import (
 )
 from driftgauge import descriptors, workload
 from driftgauge.descriptors import build_basis
-from driftgauge.errors import DimensionMismatch
+from driftgauge.errors import DimensionMismatch, InsufficientData
 from helpers import (
     exact_principal_directions,
     exact_w2_squared_1d,
@@ -809,3 +814,148 @@ class TestBlockBoundaries:
         assert resident.tobytes() == fresh.tobytes()
         want = reference_sliced_w2_per_slice(src.data, tgt.data, basis.directions, cfg.quantiles)
         assert max_relative_error(resident, want) <= ORACLE_REL
+
+
+def _load_spans():
+    """``perfbench/spans.py``, loaded by path and only read."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestOverlappedTarget:
+    """A target of at least ``_OVERLAP_BYTES`` has its moments and radii
+    computed on a worker thread beside the sliced distance: the same bits
+    and memo entries as the serial path, exceptions with their type, no
+    thread left behind, and no public function on the worker."""
+
+    DIM = 1024
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # The gate also asks for two usable CPUs; the bits must not depend
+        # on the host.
+        monkeypatch.setattr(descriptors, "_usable_cpus", lambda: 2)
+
+    def _set(self, rows, seed, mean=0.0):
+        return gaussian_set(rows, self.DIM, seed=seed, mean=mean)
+
+    @staticmethod
+    def _serial(*args):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(descriptors, "_OVERLAP_BYTES", 1 << 62)
+            return compute_delta(*args)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("cfg", [SWDConfig(seed=3), SWDConfig.all_random(24, seed=3)],
+                             ids=["hybrid", "all_random"])
+    @pytest.mark.parametrize("rows", [640, 2000], ids=["unequal", "equal"])
+    def test_both_paths_same_bits(self, monkeypatch, rows, cfg, warm):
+        data = self._set(2000, seed=80).data
+        tgt_data = self._set(rows, seed=81, mean=0.3).data
+        assert tgt_data.nbytes >= descriptors._OVERLAP_BYTES
+        threads = []
+        original = descriptors._target_stats
+
+        def spy(*args):
+            threads.append(threading.current_thread())
+            return original(*args)
+
+        monkeypatch.setattr(descriptors, "_target_stats", spy)
+        results = []
+        for overlapped in (True, False):
+            src, tgt = EmbeddingSet(data=data), EmbeddingSet(data=tgt_data)
+            if warm:
+                compute_delta(src, self._set(300, seed=82, mean=0.1), cfg)
+            calls = len(threads)
+            if overlapped:
+                results.append(compute_delta(src, tgt, cfg))
+            else:
+                results.append(self._serial(src, tgt, cfg))
+            assert len(threads) == calls + overlapped
+            for s in (src, tgt):
+                assert [key for key in vars(s) if key.startswith("_")] == ["_memo"]
+            curves = {"curves"} if rows != 2000 or warm else set()
+            assert {key[0] for key in workload._memo(src)} == {"moments"} | curves
+            assert {key[0] for key in workload._memo(tgt)} == {"moments", "basis"}
+        assert results[0].to_dict() == results[1].to_dict()
+        assert threads and threading.main_thread() not in threads
+
+    def test_worker_failure_reraises_with_its_type(self, monkeypatch):
+        threads = []
+
+        def fail(*args):
+            threads.append(threading.current_thread())
+            raise InsufficientData("worker failed")
+
+        monkeypatch.setattr(descriptors, "_radius_stats", fail)
+        src, tgt = self._set(600, seed=83), self._set(640, seed=84, mean=0.2)
+        before = threading.active_count()
+        with pytest.raises(InsufficientData, match="worker failed"):
+            compute_delta(src, tgt, SWDConfig(seed=4))
+        assert threading.active_count() == before
+        assert threads and threads[0] is not threading.main_thread()
+
+    def test_traced_run_keeps_the_span_stack(self):
+        spans = _load_spans()
+        for layer in spans.LAYERS:
+            importlib.import_module(f"driftgauge.{layer}")
+        src, tgt = self._set(1200, seed=85), self._set(640, seed=86, mean=0.2)
+        rec = spans.Recorder(memory=False)
+        rec.install()
+        try:
+            rec.op = 0
+            traced = descriptors.compute_delta(src, tgt, SWDConfig(seed=5))
+        finally:
+            rec.uninstall()
+        assert not rec._stack and not any(s.failed for s in rec.spans)
+        for span in rec.spans:
+            if span.parent >= 0:
+                parent = rec.spans[span.parent]
+                assert parent.start <= span.start <= span.end <= parent.end
+        names = [s.name for s in rec.spans]
+        assert names[0] == "descriptors.compute_delta"
+        moments_spans = [s for s in rec.spans if s.name == "workload.moments"]
+        assert [s.work for s in moments_spans] == [spans.fingerprint(src)]
+        assert names.count("descriptors.build_basis") == 1
+        assert "descriptors.mahalanobis_descriptor" not in names
+        plain = compute_delta(EmbeddingSet(data=src.data), EmbeddingSet(data=tgt.data),
+                              SWDConfig(seed=5))
+        assert traced.to_dict() == plain.to_dict()
+
+    def test_concurrent_callers_match_serial_bits(self):
+        data = self._set(2000, seed=87).data
+        targets = [self._set(rows, seed=88 + i, mean=0.1 * i).data
+                   for i, rows in enumerate((640, 704, 2000, 576))]
+        cfg = SWDConfig(seed=6)
+        serial = [self._serial(EmbeddingSet(data=data), EmbeddingSet(data=t), cfg)
+                  for t in targets]
+        src = EmbeddingSet(data=data)  # resident, with a cold memo
+        got = [[None] * len(targets) for _ in range(2)]
+        errors = []
+
+        def score(caller):
+            try:
+                order = range(len(targets)) if caller == 0 else reversed(range(len(targets)))
+                for i in order:
+                    got[caller][i] = compute_delta(src, EmbeddingSet(data=targets[i]), cfg)
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=score, args=(c,)) for c in range(2)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers) and not errors
+        want = [d.to_dict() for d in serial]
+        assert [d.to_dict() for d in got[0]] == want
+        assert [d.to_dict() for d in got[1]] == want
