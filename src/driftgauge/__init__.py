@@ -64,11 +64,9 @@ from .meta_set import (
 )
 from .metrics import (
     Interval,
-    PredictionRecord,
     canonical_sql,
     conformal_interval,
     exact_match,
-    execution_accuracy,
     mae,
 )
 from .synth import (

@@ -123,7 +123,7 @@ def _cmd_predict(args) -> int:
     alpha = rc.alpha if args.alpha is None else args.alpha
     require("--alpha", OPEN_UNIT, alpha)
     model = load_model(args.model)
-    if args.config or args.set or args.seed is not None:
+    if rc.explicit:
         supplied = rc.swd_config().digest(rc.variance_floor)
         if supplied != model.normalizer.config_digest:
             raise ConfigMismatch(

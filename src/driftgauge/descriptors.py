@@ -179,14 +179,8 @@ class ShiftDescriptor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ShiftDescriptor":
-        return cls(
-            sd_f=float(d["sd_f"]),
-            sd_m_mean=float(d["sd_m_mean"]),
-            sd_m_std=float(d["sd_m_std"]),
-            sd_sw=float(d["sd_sw"]),
-            euclid_mean=float(d["euclid_mean"]),
-            config_digest=str(d["config_digest"]),
-        )
+        return cls(**{name: float(d[name]) for name in FEATURE_NAMES},
+                   config_digest=str(d["config_digest"]))
 
 
 def frechet_descriptor(ms_src: MomentSummary, ms_tgt: MomentSummary) -> float:

@@ -12,6 +12,14 @@ class DriftGaugeError(Exception):
         return {"error": type(self).__name__, "message": str(self)}
 
 
+# What parsing a value read from a file can raise besides DriftGaugeError:
+# ValueError (not JSON, not UTF-8, a bad value), KeyError and TypeError (a
+# missing or mistyped field), OverflowError (``int(1e999)``,
+# ``float(10**400)``) and RecursionError (JSON nested too deep).  Readers
+# turn these into the error that names the file.
+PARSE_FAILURES = (ValueError, KeyError, TypeError, OverflowError, RecursionError)
+
+
 # ---------------------------------------------------------------------------
 # workload storage
 
@@ -77,10 +85,6 @@ class EmptyProbe(DriftGaugeError):
 
 # ---------------------------------------------------------------------------
 # metrics
-
-
-class HookUnavailable(DriftGaugeError):
-    pass
 
 
 class LengthMismatch(DriftGaugeError):

@@ -28,16 +28,16 @@ import numpy as np
 
 from .descriptors import NUM_FEATURES, SWDConfig, ShiftDescriptor
 from .errors import (
+    PARSE_FAILURES,
     BadMagic,
     ConfigMismatch,
     InsufficientData,
     InvalidValue,
-    MissingFile,
     ShapeMismatch,
     TruncatedPayload,
 )
 from .seeding import rng_for, spawn_seed
-from .workload import DEFAULT_VARIANCE_FLOOR, _atomic_write
+from .workload import DEFAULT_VARIANCE_FLOOR, _atomic_write, _read_file
 
 HIDDEN_DIMS = (256, 128, 64)
 LN_EPS = 1e-5
@@ -65,25 +65,13 @@ def _shapes(layer_dims: tuple[int, ...]) -> list[tuple[str, tuple[int, ...]]]:
 class MLPParams:
     """All learnable tensors in one contiguous float64 vector ``flat``;
     ``weights``, ``biases``, ``ln_gain`` and ``ln_offset`` are lists of views
-    into it in :func:`_shapes` order.  The constructor packs separate tensors
-    into a new vector; :meth:`from_flat` wraps one without copying."""
+    into it in :func:`_shapes` order.  The constructor wraps ``flat`` without
+    copying (a float64 array is not cast) and checks that its length fits
+    ``layer_dims``."""
 
-    def __init__(self, layer_dims, weights, biases, ln_gain, ln_offset):
-        given = {"weights": iter(weights), "biases": iter(biases),
-                 "ln_gain": iter(ln_gain), "ln_offset": iter(ln_offset)}
-        shapes = _shapes(tuple(layer_dims))
-        tensors = [np.asarray(next(given[field]), dtype=np.float64) for field, _ in shapes]
-        if [t.shape for t in tensors] != [shape for _, shape in shapes]:
-            raise ShapeMismatch(f"tensor shapes do not fit layer_dims {layer_dims}")
-        self._bind(tuple(layer_dims), np.concatenate([t.ravel() for t in tensors]))
-
-    @classmethod
-    def from_flat(cls, layer_dims, flat: np.ndarray) -> "MLPParams":
-        self = cls.__new__(cls)
-        self._bind(tuple(layer_dims), np.asarray(flat, dtype=np.float64))
-        return self
-
-    def _bind(self, layer_dims: tuple[int, ...], flat: np.ndarray) -> None:
+    def __init__(self, layer_dims, flat: np.ndarray):
+        layer_dims = tuple(layer_dims)
+        flat = np.asarray(flat, dtype=np.float64)
         shapes = _shapes(layer_dims)
         if flat.shape != (sum(math.prod(shape) for _, shape in shapes),):
             raise ShapeMismatch(f"flat vector of shape {flat.shape} does not fit {layer_dims}")
@@ -105,10 +93,10 @@ class MLPParams:
 
     def map(self, fn, *others: "MLPParams") -> "MLPParams":
         """Apply the elementwise ``fn`` once to this and the others' flat vectors."""
-        return MLPParams.from_flat(self.layer_dims, fn(self.flat, *(o.flat for o in others)))
+        return MLPParams(self.layer_dims, fn(self.flat, *(o.flat for o in others)))
 
     def copy(self) -> "MLPParams":
-        return MLPParams.from_flat(self.layer_dims, self.flat.copy())
+        return MLPParams(self.layer_dims, self.flat.copy())
 
 
 def init_mlp(input_dim: int, seed: int) -> MLPParams:
@@ -116,15 +104,14 @@ def init_mlp(input_dim: int, seed: int) -> MLPParams:
     if input_dim < 1:
         raise ValueError("input_dim must be positive")
     dims = (input_dim, *HIDDEN_DIMS, 1)
+    params = MLPParams(dims, np.zeros(sum(math.prod(s) for _, s in _shapes(dims))))
     rng = rng_for(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        bound = 1.0 / math.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    gains = [np.ones(h) for h in HIDDEN_DIMS]
-    offsets = [np.zeros(h) for h in HIDDEN_DIMS]
-    return MLPParams(dims, weights, biases, gains, offsets)
+    for w in params.weights:
+        bound = 1.0 / math.sqrt(w.shape[0])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    for g in params.ln_gain:
+        g.fill(1.0)
+    return params
 
 
 def zeros_like(params: MLPParams) -> MLPParams:
@@ -199,7 +186,7 @@ def loss_and_grad(
     mse = float(np.mean(err**2))
     dpreds = (2.0 / batch) * err
 
-    grads = MLPParams.from_flat(params.layer_dims, np.empty_like(params.flat))
+    grads = MLPParams(params.layer_dims, np.empty_like(params.flat))
     np.matmul(a_last.T, dpreds[:, None], out=grads.weights[-1])
     grads.biases[-1][0] = dpreds.sum()
     da = np.outer(dpreds, params.weights[-1][:, 0])
@@ -280,8 +267,8 @@ def adamw_step(
     decayed = params.flat * (1.0 - lr * cfg.weight_decay)
     w = decayed - lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     dims = params.layer_dims
-    new_m, new_v = MLPParams.from_flat(dims, m), MLPParams.from_flat(dims, v)
-    return MLPParams.from_flat(dims, w), AdamState(m=new_m, v=new_v, t=t)
+    new_m, new_v = MLPParams(dims, m), MLPParams(dims, v)
+    return MLPParams(dims, w), AdamState(m=new_m, v=new_v, t=t)
 
 
 def cosine_lr(step: int, total_steps: int, lr0: float, eta_min: float = 0.0) -> float:
@@ -508,9 +495,6 @@ class LoadedModel:
     variance_floor: float
     seed: int
 
-    def predict(self, delta: ShiftDescriptor) -> float:
-        return predict(self.params, self.normalizer, delta)
-
 
 def save_model(
     path: str | os.PathLike,
@@ -543,10 +527,7 @@ def save_model(
 
 def load_model(path: str | os.PathLike) -> LoadedModel:
     path = os.fspath(path)
-    if not os.path.isfile(path):
-        raise MissingFile(path)
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = _read_file(path)
     if len(raw) < _MODEL_HEADER.size:
         raise BadMagic(f"{path}: file shorter than header")
     magic, version, header_len = _MODEL_HEADER.unpack_from(raw)
@@ -556,7 +537,7 @@ def load_model(path: str | os.PathLike) -> LoadedModel:
         raise BadMagic(f"{path}: unsupported version {version}")
     try:
         header = json.loads(raw[_MODEL_HEADER.size : _MODEL_HEADER.size + header_len])
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except PARSE_FAILURES as exc:  # not UTF-8, not JSON, or nested too deep
         raise BadMagic(f"{path}: corrupt header") from exc
 
     dims = header.get("layer_dims") if isinstance(header, dict) else None
@@ -572,7 +553,7 @@ def load_model(path: str | os.PathLike) -> LoadedModel:
     # rejects it.
     with np.errstate(invalid="ignore"):
         flat = np.frombuffer(block, dtype="<f4").astype(np.float64)
-    params = MLPParams.from_flat(layer_dims, flat)
+    params = MLPParams(layer_dims, flat)
     report = header.get("train_report")
     swd = header.get("swd_config")
     try:
@@ -585,7 +566,7 @@ def load_model(path: str | os.PathLike) -> LoadedModel:
             variance_floor=float(header.get("variance_floor", DEFAULT_VARIANCE_FLOOR)),
             seed=int(header.get("seed", 0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except PARSE_FAILURES as exc:
         raise BadMagic(f"{path}: invalid header field: {exc!r}") from exc
     if model.normalizer.feature_mean.shape != (layer_dims[0],):
         raise BadMagic(f"{path}: normalizer does not fit input dimension {layer_dims[0]}")

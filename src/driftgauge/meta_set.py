@@ -11,6 +11,7 @@ always supplied from outside; nothing here runs a model.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -20,15 +21,15 @@ import numpy as np
 
 from .descriptors import SWDConfig, ShiftDescriptor, compute_delta
 from .errors import (
+    PARSE_FAILURES,
     BudgetExhausted,
     CapExceeded,
     InvalidBounds,
     InvalidValue,
-    MissingFile,
     ParseError,
 )
 from .seeding import rng_for
-from .workload import DEFAULT_VARIANCE_FLOOR, EmbeddingSet, _atomic_write
+from .workload import DEFAULT_VARIANCE_FLOOR, EmbeddingSet, _atomic_write, _read_file
 
 # One cost unit is 1e-7 currency; integer arithmetic keeps ledger
 # conservation exact over millions of charges.
@@ -296,24 +297,22 @@ def save_meta_set(instances, path: str | os.PathLike) -> None:
 
 def line_records(path: str | os.PathLike, parse):
     """Yield ``(line_number, parse(line))`` for every non-blank line, newline
-    stripped, in file order.  A missing file is MissingFile; text that is not
-    UTF-8, or a line that ``parse`` rejects with ValueError, KeyError,
-    TypeError, OverflowError (``int(1e400)``, ``float(10**400)``) or
-    RecursionError (JSON nested too deep), is a ParseError naming the file
-    (and the line)."""
+    stripped, in file order, split as a text-mode file splits them.  The
+    file is read by :func:`~driftgauge.workload._read_file`, so no regular
+    file to read is MissingFile and a failed read IoFailure.  Text that is
+    not UTF-8, or a line that ``parse`` rejects with one of
+    ``PARSE_FAILURES``, is a ParseError naming the file (and the line)."""
     path = os.fspath(path)
-    if not os.path.isfile(path):
-        raise MissingFile(path)
+    lines = io.TextIOWrapper(io.BytesIO(_read_file(path)), encoding="utf-8")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = parse(line.rstrip("\n"))
-                except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
-                    raise ParseError(f"{path}, line {lineno}: {exc!r}") from exc
-                yield lineno, record
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = parse(line.rstrip("\n"))
+            except PARSE_FAILURES as exc:
+                raise ParseError(f"{path}, line {lineno}: {exc!r}") from exc
+            yield lineno, record
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
 

@@ -1,9 +1,8 @@
 """Ground-truth accuracy metrics, evaluator error, and conformal intervals.
 
-Exact match compares canonicalized SQL strings.  Execution accuracy is a
-contract only: equivalence-under-execution is injected as a callable because
-this toolkit never touches a database.  The conformal half-width uses the
-finite-sample split-conformal rank rule on held-out absolute residuals.
+Exact match compares canonicalized SQL strings.  The conformal half-width
+uses the finite-sample split-conformal rank rule on held-out absolute
+residuals.
 """
 
 from __future__ import annotations
@@ -11,11 +10,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EmptyInput, HookUnavailable, LengthMismatch
+from .errors import EmptyInput, LengthMismatch
 
 # Keywords are upper-cased during canonicalization; identifiers and string
 # literals keep their spelling.
@@ -86,39 +85,6 @@ def exact_match(pred: str, gold: str) -> int:
     if not pred or not gold:
         raise ValueError("pred and gold must be non-empty strings")
     return int(canonical_sql(pred) == canonical_sql(gold))
-
-
-@dataclass(frozen=True)
-class PredictionRecord:
-    predicted_sql: str
-    gold_sql: Optional[str] = None
-    em: Optional[int] = None
-    ex: Optional[int] = None
-    schema: Optional[str] = None
-
-    def __post_init__(self):
-        if self.gold_sql is None and (self.em is not None or self.ex is not None):
-            raise ValueError("em/ex may only be set when gold_sql is present")
-
-
-EquivalenceHook = Callable[[str, str, Optional[str]], int]
-
-
-def execution_accuracy(
-    records: Sequence[PredictionRecord], equiv: Optional[EquivalenceHook]
-) -> float:
-    """Mean of the injected equivalence verdicts over the records.
-
-    Without a hook the metric is undefined (never silently zero).
-    """
-    if equiv is None:
-        raise HookUnavailable("no execution-equivalence hook provided; EX is undefined")
-    if not records:
-        raise EmptyInput("no records")
-    if any(r.gold_sql is None for r in records):
-        raise ValueError("every record must carry gold SQL")
-    verdicts = [float(equiv(r.predicted_sql, r.gold_sql, r.schema)) for r in records]
-    return float(np.mean(verdicts))
 
 
 def mae(predicted: Sequence[float], actual: Sequence[float]) -> float:

@@ -17,7 +17,7 @@ import os
 import platform
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,33 +88,15 @@ def gen_gaussian_workload(spec: GaussianWorkloadSpec, seed: int) -> EmbeddingSet
 
 
 def shift_family(
-    base: GaussianWorkloadSpec,
-    mean_shifts: list[float],
-    direction: np.ndarray | None = None,
+    base: GaussianWorkloadSpec, mean_shifts: list[float]
 ) -> list[GaussianWorkloadSpec]:
-    """One spec per shift, translating the base mean along a fixed unit
-    direction (first coordinate axis by default).  Shifts must be sorted."""
+    """One spec per shift, translating the base mean along the first
+    coordinate axis.  Shifts must be sorted."""
     if list(mean_shifts) != sorted(mean_shifts):
         raise ValueError("mean_shifts must be sorted ascending")
-    if direction is None:
-        u = np.zeros(base.dim)
-        u[0] = 1.0
-    else:
-        u = np.asarray(direction, dtype=np.float64)
-        norm = np.linalg.norm(u)
-        if u.shape != (base.dim,) or norm == 0:
-            raise ValueError("direction must be a nonzero vector of length dim")
-        u = u / norm
-    return [
-        GaussianWorkloadSpec(
-            dim=base.dim,
-            count=base.count,
-            mean=base.mean + delta * u,
-            stddev=base.stddev,
-            mixture=base.mixture,
-        )
-        for delta in mean_shifts
-    ]
+    u = np.zeros(base.dim)
+    u[0] = 1.0
+    return [replace(base, mean=base.mean + delta * u) for delta in mean_shifts]
 
 
 def synthetic_accuracy_fn(
@@ -218,16 +200,17 @@ def bench_swd(
     seed: int = 0,
     k_pca: int = 8,
     quantiles: int = 256,
-    mean_shift: float = 1.0,
 ) -> BenchResult:
     """Median wall time of the sliced distance over a (sizes x slices) grid.
 
-    One warmup evaluation precedes the timed trials, and each source stays
-    resident across them: for unequal sizes its curves on the random slices
-    come from the source's memo after the warmup.  The distance value is
-    recorded per row; it is identical across trials because the computation
-    is fully seeded (only timing varies).  Peak transient bytes use the
-    analytic bound L*(n+m)*8 for the stacked float64 projections.
+    Each source is standard normal, and its target the same law with the
+    mean shifted by 1.0 along the first axis.  One warmup evaluation
+    precedes the timed trials, and each source stays resident across them:
+    for unequal sizes its curves on the random slices come from the
+    source's memo after the warmup.  The distance value is recorded per
+    row; it is identical across trials because the computation is fully
+    seeded (only timing varies).  Peak transient bytes use the analytic
+    bound L*(n+m)*8 for the stacked float64 projections.
     """
     if not sizes or not slice_counts:
         raise ValueError("sizes and slice_counts must be non-empty")
@@ -240,7 +223,7 @@ def bench_swd(
     for n, m, dim in sizes:
         src_spec = GaussianWorkloadSpec(dim=dim, count=n, mean=np.zeros(dim), stddev=np.ones(dim))
         tgt_mean = np.zeros(dim)
-        tgt_mean[0] = mean_shift
+        tgt_mean[0] = 1.0
         tgt_spec = GaussianWorkloadSpec(dim=dim, count=m, mean=tgt_mean, stddev=np.ones(dim))
         src = gen_gaussian_workload(src_spec, spawn_seed(seed, 401, n, dim))
         tgt = gen_gaussian_workload(tgt_spec, spawn_seed(seed, 402, m, dim))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import struct
 import tempfile
 from dataclasses import dataclass
@@ -184,13 +185,35 @@ def load_embedding_set(path: str | os.PathLike) -> EmbeddingSet:
                 raise TruncatedPayload(f"{path}: payload {got} bytes, expected {expected}")
             data = np.empty((count, dim), dtype="<f4")
             read = fh.readinto(memoryview(data).cast("B"))
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
-        raise MissingFile(path) from None
     except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+        raise _read_failure(path, exc) from exc
     if read != expected:
         raise TruncatedPayload(f"{path}: read {read} payload bytes, expected {expected}")
     return EmbeddingSet(data)
+
+
+def _read_file(path: str) -> bytes:
+    """The bytes of the regular file at ``path``.  Anything else there is
+    MissingFile, tested on the file as opened, without blocking, so that the
+    test cannot race with the open: a device such as /dev/zero would be read
+    without end, and opening a FIFO would wait for a writer.  An OSError is
+    mapped by :func:`_read_failure`."""
+    try:
+        with open(path, "rb", opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK)) as fh:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                return fh.read()
+    except OSError as exc:
+        raise _read_failure(path, exc) from exc
+    raise MissingFile(path)
+
+
+def _read_failure(path: str, exc: OSError) -> MissingFile | IoFailure:
+    """The typed error for an OSError met opening or reading ``path``: no
+    file to read there (not found, a directory, or a path under a file) is
+    MissingFile; any other, such as EIO, is IoFailure."""
+    if isinstance(exc, (FileNotFoundError, IsADirectoryError, NotADirectoryError)):
+        return MissingFile(path)
+    return IoFailure(f"cannot read {path}: {exc}")
 
 
 def _atomic_write(path: str, blob: bytes) -> None:

@@ -309,16 +309,7 @@ def finite_diff_grads(params, x, y, **kw):
     tensors = [np.zeros_like(t) for t in params.tensors()]
     for _, t_idx, flat_idx, vals in entries:
         tensors[t_idx].ravel()[flat_idx] = vals
-    hidden = len(params.layer_dims) - 2
-    weights, biases, gains, offsets = [], [], [], []
-    it = iter(tensors)
-    for i in range(len(params.layer_dims) - 1):
-        weights.append(next(it))
-        biases.append(next(it))
-        if i < hidden:
-            gains.append(next(it))
-            offsets.append(next(it))
-    return type(params)(params.layer_dims, weights, biases, gains, offsets)
+    return type(params)(params.layer_dims, np.concatenate([t.ravel() for t in tensors]))
 
 
 def naive_fd_entry(params, x, y, tensor_idx, entry, h=1e-4, **loss_kw) -> float:

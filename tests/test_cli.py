@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -251,15 +252,17 @@ class TestCliWorkflow:
 
     @staticmethod
     def _rewrite_model_header(path, edit):
-        """Apply ``edit`` to the JSON header of a ``.fsmlp`` file in place."""
+        """Apply ``edit`` to the JSON header of a ``.fsmlp`` file in place; an
+        ``edit`` that returns bytes replaces the header with them."""
         import struct
 
         blob = path.read_bytes()
         start = struct.calcsize("<8sIQ")
         magic, version, n = struct.unpack_from("<8sIQ", blob)
         header = json.loads(blob[start : start + n])
-        edit(header)
-        head = json.dumps(header).encode("utf-8")
+        head = edit(header)
+        if not isinstance(head, bytes):
+            head = json.dumps(header).encode("utf-8")
         path.write_bytes(struct.pack("<8sIQ", magic, version, len(head)) + head + blob[start + n :])
 
     def test_predict_model_header_without_layer_dims_exits_1(self, workdir, capsys):
@@ -297,6 +300,26 @@ class TestCliWorkflow:
         payload = json.loads(line)
         assert payload["error"] == "BadMagic"
         assert "model.fsmlp" in payload["message"]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h.update(seed=math.inf),
+            lambda h: h.update(train_report={"epochs_run": math.inf, "best_val_mae": 0.1,
+                                             "train_loss_curve": [], "stopped_early": False}),
+            lambda h: h.update(variance_floor=10**400),
+            lambda h: b"[" * 100_000 + b"]" * 100_000,
+        ],
+        ids=["infinite-seed", "infinite-epochs-run", "variance-floor-beyond-float",
+             "nested-too-deep"],
+    )
+    def test_predict_model_header_out_of_range_or_too_deep_exits_1(self, workdir, capsys, edit):
+        self._untrained_predict_inputs(workdir)
+        self._rewrite_model_header(workdir / "model.fsmlp", edit)
+        assert self._predict(workdir) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "BadMagic" and "model.fsmlp" in payload["message"]
 
     @pytest.mark.parametrize("floor", [0.0, -1e-8, math.inf, math.nan])
     def test_predict_model_variance_floor_not_positive_exits_1(self, workdir, capsys, floor):
@@ -353,13 +376,63 @@ class TestCliWorkflow:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload == {"error": "MissingFile", "message": str(missing)}
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/mem"), reason="needs /proc/self/mem")
+    @pytest.mark.parametrize("flag", ["--model", "--source", "--calib", "--config", "--meta-set",
+                                      "--probe", "--charges", "--pred"])
+    def test_unreadable_input_exits_1(self, workdir, capsys, flag):
+        """``/proc/self/mem`` opens but fails to read (EIO at address 0)."""
+        self._untrained_predict_inputs(workdir)
+        d, calib = workdir, workdir / "calib.jsonl"
+        predict = ["predict", "--model", d / "model.fsmlp", "--source", d / "src.fsemb",
+                   "--target", d / "tgt.fsemb", "--calib", calib, "--out", d / "report.json"]
+        train = ["train", "--meta-set", calib, "--out", d / "m.fsmlp"]
+        argv = list({
+            "--model": predict, "--source": predict, "--calib": predict,
+            "--config": train + ["--config", calib], "--meta-set": train,
+            "--probe": ["adapt", "--init", d / "model.fsmlp", "--probe", calib,
+                        "--out", d / "a.fsmlp"],
+            "--charges": ["budget", "ledger", "--charges", calib, "--out", d / "snap.json"],
+            "--pred": ["metrics", "mae", "--pred", calib, "--gold", calib],
+        }[flag])
+        argv[argv.index(flag) + 1] = "/proc/self/mem"
+        capsys.readouterr()
+        assert cli(*argv) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "IoFailure" and "/proc/self/mem" in payload["message"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    @pytest.mark.parametrize("flag", ["--model", "--calib"])
+    def test_fifo_input_exits_1_without_blocking(self, workdir, capsys, flag):
+        import threading
+
+        self._untrained_predict_inputs(workdir)
+        fifo = workdir / "fifo"
+        os.mkfifo(fifo)
+        argv = ["predict", "--model", workdir / "model.fsmlp", "--source", workdir / "src.fsemb",
+                "--target", workdir / "tgt.fsemb", "--calib", workdir / "calib.jsonl",
+                "--out", workdir / "report.json"]
+        argv[argv.index(flag) + 1] = fifo
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(cli(*argv)), daemon=True)
+        capsys.readouterr()
+        worker.start()
+        worker.join(10)
+        if worker.is_alive():
+            with open(fifo, "wb"):  # a writer lets the blocked open return
+                pass
+            worker.join(10)
+            pytest.fail(f"{flag} blocked opening a FIFO")
+        assert codes == [1]
+        assert json.loads(capsys.readouterr().err) == {"error": "MissingFile", "message": str(fifo)}
+
     def test_trained_model_beats_trivial_baseline(self, workdir):
         self.test_full_train_predict_flow(workdir)
-        from driftgauge import load_meta_set, load_model
+        from driftgauge import load_meta_set, load_model, predict
 
         model = load_model(workdir / "model.fsmlp")
         meta = load_meta_set(workdir / "meta.jsonl")
-        preds = [model.predict(m.delta) for m in meta]
+        preds = [predict(model.params, model.normalizer, m.delta) for m in meta]
         labels = [m.accuracy for m in meta]
         model_mae = np.mean(np.abs(np.array(preds) - labels))
         trivial = np.mean(np.abs(np.mean(labels) - np.array(labels)))
@@ -679,6 +752,24 @@ class TestBadSettingOrFlag:
         assert detail in payload["message"]
         assert captured.out == ""
         assert not (trained / "x").exists()
+
+
+class TestSeedFromEnvironment:
+    """``DRIFTGAUGE_SEED`` is a set value like ``--seed``: ``predict`` checks
+    it against the model's descriptor configuration."""
+
+    def test_predict(self, trained, tmp_path, capsys, monkeypatch):
+        argv = [a.format(d=trained) for a in _PREDICT[:-1]]
+        monkeypatch.delenv("DRIFTGAUGE_SEED", raising=False)
+        assert cli(*argv, tmp_path / "flag.json", "--seed", 3) == 0
+        monkeypatch.setenv("DRIFTGAUGE_SEED", "3")
+        assert cli(*argv, tmp_path / "env.json") == 0
+        assert (tmp_path / "env.json").read_bytes() == (tmp_path / "flag.json").read_bytes()
+        monkeypatch.setenv("DRIFTGAUGE_SEED", "4")
+        capsys.readouterr()
+        assert cli(*argv, tmp_path / "other.json") == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigMismatch"
+        assert not (tmp_path / "other.json").exists()
 
 
 class TestWriteFailure:

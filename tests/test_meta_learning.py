@@ -77,7 +77,7 @@ def plain_gd(theta, norm, instances, alpha, steps):
     x = norm.apply(feats)
     for _ in range(steps):
         _, grads = loss_and_grad(theta, x, labels, train_mode=False)
-        theta = MLPParams.from_flat(theta.layer_dims, theta.flat - alpha * grads.flat)
+        theta = MLPParams(theta.layer_dims, theta.flat - alpha * grads.flat)
     return theta
 
 

@@ -3,14 +3,12 @@ import pytest
 
 from driftgauge import (
     Interval,
-    PredictionRecord,
     canonical_sql,
     conformal_interval,
     exact_match,
-    execution_accuracy,
     mae,
 )
-from driftgauge.errors import EmptyInput, HookUnavailable, LengthMismatch
+from driftgauge.errors import EmptyInput, LengthMismatch
 
 
 class TestExactMatch:
@@ -54,34 +52,6 @@ class TestExactMatch:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             exact_match("", "SELECT 1")
-
-
-class TestExecutionAccuracy:
-    def records(self):
-        return [
-            PredictionRecord(predicted_sql="select 1", gold_sql="SELECT 1"),
-            PredictionRecord(predicted_sql="SELECT 2", gold_sql="SELECT 3"),
-        ]
-
-    def test_exact_match_hook_equals_mean_em(self):
-        hook = lambda pred, gold, schema: exact_match(pred, gold)
-        assert execution_accuracy(self.records(), hook) == pytest.approx(0.5)
-
-    def test_constant_hook(self):
-        assert execution_accuracy(self.records(), lambda p, g, s: 1) == 1.0
-
-    def test_no_hook_is_undefined(self):
-        with pytest.raises(HookUnavailable):
-            execution_accuracy(self.records(), None)
-
-    def test_missing_gold_rejected(self):
-        records = [PredictionRecord(predicted_sql="SELECT 1")]
-        with pytest.raises(ValueError):
-            execution_accuracy(records, lambda p, g, s: 1)
-
-    def test_em_ex_require_gold(self):
-        with pytest.raises(ValueError):
-            PredictionRecord(predicted_sql="SELECT 1", em=1)
 
 
 class TestMae:

@@ -81,10 +81,6 @@ class TestShiftFamily:
         with pytest.raises(ValueError):
             shift_family(spec(), [1.0, 0.5])
 
-    def test_custom_direction_normalized(self):
-        fam = shift_family(spec(dim=2), [2.0], direction=np.array([3.0, 4.0]))
-        assert np.allclose(fam[0].mean, [1.2, 1.6])
-
 
 class TestSyntheticAccuracy:
     def delta(self, **kw):

@@ -1,5 +1,6 @@
 import builtins
 import dataclasses
+import os
 import struct
 
 import numpy as np
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from driftgauge import (
     EmbeddingSet,
     load_embedding_set,
+    load_meta_set,
+    load_model,
     moments,
     save_embedding_set,
     subsample,
@@ -121,6 +124,20 @@ class TestSaveLoad:
         (tmp_path / "file").write_bytes(b"")
         with pytest.raises(MissingFile):
             load_embedding_set(tmp_path / name)
+
+    @pytest.mark.parametrize("name", ["dir", "file/x", "/dev/null"])
+    @pytest.mark.parametrize("load", [load_model, load_meta_set], ids=["model", "meta-set"])
+    def test_no_regular_file_is_missing_file_and_leaves_no_descriptor(self, tmp_path, load, name):
+        if name.startswith("/") and not os.path.exists(name):
+            pytest.skip(f"needs {name}")
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_bytes(b"")
+        fds = "/proc/self/fd"
+        before = len(os.listdir(fds)) if os.path.isdir(fds) else None
+        with pytest.raises(MissingFile):
+            load(tmp_path / name)
+        if before is not None:
+            assert len(os.listdir(fds)) == before
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.fsemb"
